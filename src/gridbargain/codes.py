@@ -7,9 +7,13 @@ of power balance at every step and a tracker of the network-wide
 supply-demand mismatch. A synchronous round is:
 
 1. local step: the agent re-optimizes only its own devices against its
-   current price copy. Users solve a small storage program (lazily: a
-   fresh solve only once their price copy has moved); the grid ramps
-   its exchange toward profitability, a damped best response that keeps
+   current price copy. Users solve their storage program exactly with
+   an O(T^2) dynamic program over the convex piecewise-linear value of
+   stored energy, no LP solver involved (lazily: a fresh solve only
+   once their price copy has moved). Where several schedules are
+   optimal the DP picks the one ending each hour at the higher state
+   of charge, which the round counts depend on. The grid ramps its
+   exchange toward profitability, a damped best response that keeps
    the network signal smooth.
 2. exchange: the agent sends neighbors its price copy and mismatch
    tracker, nothing else.
@@ -36,6 +40,7 @@ seed only feeds the optional initial price jitter and is recorded.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +49,8 @@ from scipy.optimize import linprog
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
-from .scheduling import SocialDecision, SocialScheduleOutcome, bdc_cost, trading_cost
+from .scheduling import (SocialDecision, SocialScheduleOutcome, _rg_profile, _soc_rows,
+                         bdc_cost, trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -148,30 +154,130 @@ class CodesRun:
     seed: int | None = None
 
 
+_W, _DRAIN, _FILL = 0, 1, 2  # who owns a segment of a merged slope list
+
+
+def _storage_dp(alpha, beta, X, Y, span, start, recover):
+    """Exact single-battery program in energy units, by a backward DP.
+
+    Per step t: drain x_t in [0, X] at alpha_t per kWh, fill y_t in
+    [0, Y] at beta_t per kWh, with the SOC offset above e_min kept in
+    [0, span] and starting at ``start``. The value function W_t of the
+    SOC offset is convex piecewise-linear, held as a value at 0 plus
+    (slope, length) segments sorted by slope. One step costs
+    h_t(v), v = x - y in [-Y, X]: two segments, fill less (-beta, Y)
+    and drain more (alpha, X), which sorting also makes convex when
+    alpha + beta < 0. So W_{t-1}, the infimal convolution h_t [] W_t
+    cut back to [0, span], is a merge of two sorted segment lists.
+
+    Tie rule: on equal slopes the W_t segment comes first, so the hour
+    ends at the higher SOC. The distributed solver's round counts
+    depend on which of several optimal schedules a solve returns.
+
+    Returns W_0(start) and, with ``recover``, the per-step drain and
+    fill of one optimal schedule (None otherwise).
+    """
+    slopes, lens, tags = [0.0], [span], [_W]
+    val = 0.0
+    merged = []
+    for a, b in zip(reversed(alpha), reversed(beta)):
+        for slope, length, tag in ((-b, Y, _FILL), (a, X, _DRAIN)):
+            i = bisect_right(slopes, slope)
+            slopes.insert(i, slope)
+            lens.insert(i, length)
+            tags.insert(i, tag)
+        if recover:
+            merged.append((lens, tags))
+        # The merge starts at offset -Y with every hour filling fully;
+        # drop that first Y and keep the next span.
+        val += b * Y
+        skip, keep = Y, span
+        new_s, new_l = [], []
+        for slope, length in zip(slopes, lens):
+            if skip > 0.0:
+                if length <= skip:
+                    val += slope * length
+                    skip -= length
+                    continue
+                val += slope * skip
+                length -= skip
+                skip = 0.0
+            if length >= keep:
+                new_s.append(slope)
+                new_l.append(keep)
+                break
+            new_s.append(slope)
+            new_l.append(length)
+            keep -= length
+        slopes, lens, tags = new_s, new_l, [_W] * len(new_s)
+
+    pos = start
+    for slope, length in zip(slopes, lens):
+        if length >= pos:
+            val += slope * pos
+            break
+        val += slope * length
+        pos -= length
+    if not recover:
+        return val, None, None
+
+    # Forward pass: walking a merged list up to the current SOC splits
+    # that point between this hour (h segments) and the rest (W).
+    drain, fill = [], []
+    soc = start
+    for lens_t, tags_t in reversed(merged):
+        pos = soc + Y
+        x = used_fill = 0.0
+        for length, tag in zip(lens_t, tags_t):
+            take = length if length < pos else pos
+            if tag == _DRAIN:
+                x += take
+            elif tag == _FILL:
+                used_fill += take
+            pos -= take
+            if pos <= 0.0:
+                break
+        y = Y - used_fill
+        drain.append(x)
+        fill.append(y)
+        soc = min(max(soc - x + y, 0.0), span)
+    return val, drain, fill
+
+
 class _UserLocal:
     """One active user's storage subproblem, solved exactly when asked.
 
     min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
-    polytope; the constraint matrix is built once, only costs change.
+    polytope. The per-round step and its value are ``_storage_dp`` in
+    energy units: drain x = discharge dt / kappa, fill y = kappa charge
+    dt. The two programs that couple the user to the grid (cleanup and
+    rebalance) run rarely and stay LPs over the shared SOC rows.
     """
 
     def __init__(self, desd, T, dt):
         self.desd, self.T, self.dt = desd, T, dt
-        L = np.tril(np.ones((T, T)))
-        drain = np.hstack([L / desd.kappa, -desd.kappa * L]) * dt
-        self.A_ub = np.vstack([drain, -drain])
-        self.b_ub = np.concatenate([
-            np.full(T, desd.e0 - desd.e_min), np.full(T, desd.e_max - desd.e0),
-        ])
+        self.A_ub, self.b_ub = _soc_rows(desd, T, dt, False)
         self.bounds = [(0.0, desd.p_b_max)] * (2 * T)
+        kappa = desd.kappa
+        self._dp_args = (desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
+                         desd.e_max - desd.e_min, desd.e0 - desd.e_min)
+
+    def _slopes(self, unit_cost, lam):
+        alpha = (unit_cost - lam) * self.desd.kappa
+        beta = (unit_cost + lam) / self.desd.kappa
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+            raise SolverStall("local storage step: non-finite cost or price")
+        return alpha.tolist(), beta.tolist()
 
     def solve(self, unit_cost, lam):
-        c = np.concatenate([unit_cost - lam, unit_cost + lam]) * self.dt
-        res = linprog(c, A_ub=self.A_ub, b_ub=self.b_ub, bounds=self.bounds,
-                      method="highs")
-        if res.status != 0:
-            raise SolverStall(f"local storage step failed: {res.message}")
-        return res.x[:self.T], res.x[self.T:], float(res.fun)
+        """Optimal (discharge, charge) against the price copy lam."""
+        _, x, y = _storage_dp(*self._slopes(unit_cost, lam), *self._dp_args, True)
+        kappa, dt = self.desd.kappa, self.dt
+        return np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
+
+    def value(self, unit_cost, lam):
+        """Optimal cost against lam, without recovering the schedule."""
+        return _storage_dp(*self._slopes(unit_cost, lam), *self._dp_args, False)[0]
 
     def min_throughput(self, unit_cost, net):
         """Cheapest schedule with the given net injection (cleanup pass)."""
@@ -212,8 +318,7 @@ def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
     q += float(np.sum(np.minimum(0.0, pb - lam) * p_max * dt))
     q += float(np.sum(np.minimum(0.0, lam - ps) * p_max * dt))
     for uid, loc in locals_.items():
-        _, _, fun = loc.solve(units[uid], lam)
-        q += fun
+        q += loc.value(units[uid], lam)
     return q
 
 
@@ -232,12 +337,7 @@ def run_codes(model, rg=None, config=None, seed=None):
     pb, ps = model.prices.buy, model.prices.sell
     p_max = model.grid.p_g_max
 
-    rg_prof = {}
-    for k, u in enumerate(model.users):
-        prof = None
-        if rg is not None:
-            prof = rg.profiles.get(u.id) if hasattr(rg, "profiles") else rg.get(u.id)
-        rg_prof[u.id] = np.zeros(T) if prof is None else np.asarray(prof, dtype=float)
+    rg_prof = {u.id: _rg_profile(rg, u.id, T) for u in model.users}
 
     netload = model.demands.sum(axis=0) - sum(rg_prof.values())
     W = metropolis_weights(model.graph, n)
@@ -263,7 +363,7 @@ def run_codes(model, rg=None, config=None, seed=None):
         st = AgentState(agent_id=u.id, dual_prices=lam[k].copy(),
                         mismatch=np.zeros(T), residual=np.zeros(T))
         if u.is_active:
-            st.discharge, st.charge, _ = locals_[u.id].solve(units[u.id], lam[k])
+            st.discharge, st.charge = locals_[u.id].solve(units[u.id], lam[k])
             st.avg_discharge, st.avg_charge = st.discharge.copy(), st.charge.copy()
             st.avg_count = 1
             st.solved_at = lam[k].copy()
@@ -373,7 +473,7 @@ def run_codes(model, rg=None, config=None, seed=None):
             elif st.agent_id in locals_:
                 if (st.solved_at is None
                         or float(np.max(np.abs(lam[idx] - st.solved_at))) > config.lazy_tol):
-                    st.discharge, st.charge, _ = locals_[st.agent_id].solve(
+                    st.discharge, st.charge = locals_[st.agent_id].solve(
                         units[st.agent_id], lam[idx])
                     st.solved_at = lam[idx].copy()
                 st.residual = (model.demands[idx] - rg_prof[st.agent_id]

@@ -203,17 +203,17 @@ def default_grid_limit(demands):
 
 def _desd_violations(uid, d):
     out = []
-    if not (0.0 <= d.e_min <= d.e0 <= d.e_max):
-        out.append(f"user {uid}: need 0 <= e_min <= e0 <= e_max, got "
+    if not (0.0 <= d.e_min <= d.e0 <= d.e_max < np.inf):
+        out.append(f"user {uid}: need 0 <= e_min <= e0 <= e_max < inf, got "
                    f"({d.e_min}, {d.e0}, {d.e_max})")
     if not (0.0 < d.kappa <= 1.0):
         out.append(f"user {uid}: kappa must be in (0, 1], got {d.kappa}")
-    if not d.p_b_max > 0.0:
-        out.append(f"user {uid}: p_b_max must be > 0, got {d.p_b_max}")
+    if not 0.0 < d.p_b_max < np.inf:
+        out.append(f"user {uid}: p_b_max must be finite and > 0, got {d.p_b_max}")
     bdc = d.bdc
     if isinstance(bdc, ConstantBdc):
-        if bdc.c_d < 0.0:
-            out.append(f"user {uid}: bdc unit cost must be >= 0, got {bdc.c_d}")
+        if not 0.0 <= bdc.c_d < np.inf:
+            out.append(f"user {uid}: bdc unit cost must be finite and >= 0, got {bdc.c_d}")
     elif isinstance(bdc, PiecewiseSocBdc):
         bps = bdc.breakpoints
         if not bps:
@@ -226,8 +226,8 @@ def _desd_violations(uid, d):
                 out.append(f"user {uid}: bdc breakpoint fractions must strictly increase")
             if any(not (0.0 <= s <= 1.0) for s in fracs):
                 out.append(f"user {uid}: bdc breakpoint fractions must lie in [0, 1]")
-            if any(c < 0.0 for _, c in bps):
-                out.append(f"user {uid}: bdc breakpoint costs must be >= 0")
+            if any(not 0.0 <= c < np.inf for _, c in bps):
+                out.append(f"user {uid}: bdc breakpoint costs must be finite and >= 0")
     else:
         out.append(f"user {uid}: unknown bdc model {type(bdc).__name__}")
     return out
@@ -265,12 +265,16 @@ def model_violations(model):
 
     if model.demands.shape != (r, T):
         v.append(f"demands: expected shape ({r}, {T}), got {model.demands.shape}")
+    elif not np.all(np.isfinite(model.demands)):
+        v.append("demands: must be finite")
     elif np.any(model.demands < 0.0):
         v.append("demands: must be >= 0")
 
     for name, arr in (("buy", model.prices.buy), ("sell", model.prices.sell)):
         if arr.shape != (T,):
             v.append(f"prices.{name}: expected length {T}, got shape {arr.shape}")
+        elif not np.all(np.isfinite(arr)):
+            v.append(f"prices.{name}: must be finite")
         elif np.any(arr < 0.0):
             v.append(f"prices.{name}: must be >= 0")
 

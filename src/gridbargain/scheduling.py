@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import Infeasible, LengthMismatch, SolverStall
+from .errors import Infeasible, InvariantViolation, LengthMismatch, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
 
 __all__ = [
@@ -147,12 +147,16 @@ def _check_residuals(x, A_eq, b_eq, bounds, what):
 
 
 def _rg_profile(rg, uid, T):
+    """User uid's generation profile from a forecast result or a dict."""
     if rg is None:
         return np.zeros(T)
     prof = rg.profiles.get(uid) if hasattr(rg, "profiles") else rg.get(uid)
     if prof is None:
         return np.zeros(T)
-    return np.asarray(prof, dtype=float)
+    prof = np.asarray(prof, dtype=float)
+    if not np.all(np.isfinite(prof)):
+        raise InvariantViolation(f"rg profile of user {uid}: values must be finite")
+    return prof
 
 
 def solve_social(model, rg=None, *, refill_terminal=False):

@@ -219,6 +219,14 @@ def test_exit_2_bad_codes_override(tmp_path):
     assert cli.main(["schedule", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("solver", ["centralized", "distributed"])
+def test_exit_2_nan_demand(tmp_path, solver):
+    cfg = _bridge_experiment(tmp_path)
+    (tmp_path / "d.csv").write_text("u1,u2\n0,0\n0,nan\n")
+    assert cli.main(["schedule", cfg, "--solver", solver,
+                     "--out", str(tmp_path / "out")]) == 2
+
+
 def test_exit_3_unconverged_distributed_schedule(tmp_path):
     cfg = _bridge_experiment(tmp_path, max_rounds=60, check_every=20,
                              cost_tol_abs=1e-12, cost_tol_rel=1e-15)

@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from gridbargain import (CodesConfig, InvariantViolation, PriceProfile,
-                         convergence_trace, dump_message_log, run_codes,
-                         solve_individual, solve_social, validate_model)
-from gridbargain.codes import GRID_AGENT
+from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolation,
+                         PriceProfile, SolverStall, convergence_trace,
+                         dump_message_log, run_codes, solve_individual,
+                         solve_social, validate_model)
+from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
 
 
@@ -205,3 +209,93 @@ def test_random_instances_match_oracle():
         assert run.converged
         assert abs(run.outcome.social_cost - oracle.social_cost) <= _tol(
             oracle.social_cost)
+
+
+# ------------------------------------------------- exact local storage step
+
+LAM_HI = 1.5 * 30.0 + 1.0  # run_codes' price clip for a 30 c/kWh peak tariff
+
+
+@st.composite
+def storage_programs(draw):
+    """A battery, its unit costs and a price copy like those of run_codes."""
+    T = draw(st.integers(1, 48))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.1, 2.0))
+    e_max = draw(st.floats(0.5, 20.0))
+    e_min = draw(st.just(0.0) | st.floats(0.0, e_max))
+    e0 = draw(st.just(e_min) | st.floats(e_min, e_max))
+    desd = DesdParams(e0=e0, e_min=e_min, e_max=e_max,
+                      p_b_max=draw(st.floats(0.1, 10.0)),
+                      kappa=draw(st.floats(0.5, 1.0)))
+    costs = st.floats(-2.0, 5.0)  # below 0 a step can gain by filling and draining
+    unit = draw(costs.map(lambda c: np.full(T, c))
+                | st.lists(costs, min_size=T, max_size=T).map(np.array))
+    # ties, zeros and the clip at LAM_HI are where schedules are degenerate
+    prices = st.sampled_from([0.0, 7.5, 7.5, LAM_HI]) | st.floats(0.0, 1.2 * LAM_HI)
+    lam = np.clip(draw(st.lists(prices, min_size=T, max_size=T).map(np.array)),
+                  0.0, LAM_HI)
+    return desd, T, dt, unit, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(storage_programs())
+def test_storage_dp_matches_highs(program):
+    desd, T, dt, unit, lam = program
+    local = _UserLocal(desd, T, dt)
+    c = np.concatenate([unit - lam, unit + lam]) * dt
+    oracle = linprog(c, A_ub=local.A_ub, b_ub=local.b_ub, bounds=local.bounds,
+                     method="highs")
+    assert oracle.status == 0
+    tol = 1e-9 * max(1.0, abs(oracle.fun))
+
+    discharge, charge = local.solve(unit, lam)
+    x = np.concatenate([discharge, charge])
+    assert abs(float(c @ x) - oracle.fun) <= tol
+    assert abs(local.value(unit, lam) - oracle.fun) <= tol
+    assert np.all(local.A_ub @ x <= local.b_ub + 1e-9)
+    assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
+
+
+def test_storage_dp_bridge_by_hand():
+    """Fill fully in the cheap hour, sell it all in the dear one.
+
+    Storing a kWh costs (1 + 10) / 0.9 and draining it earns
+    (30 - 1) * 0.9, so step 1 charges at the full 10 kW (9 kWh stored,
+    inside the 12 kWh capacity) and step 2 drains all 9 kWh, i.e.
+    discharges 8.1 kW. Nothing else breaks even, so the optimum is
+    unique.
+    """
+    desd = DesdParams(e0=0.0, e_min=0.0, e_max=12.0, p_b_max=10.0, kappa=0.9,
+                      bdc=ConstantBdc(1.0))
+    local = _UserLocal(desd, 2, 1.0)
+    unit, lam = np.ones(2), np.array([10.0, 30.0])
+    discharge, charge = local.solve(unit, lam)
+    np.testing.assert_allclose(discharge, [0.0, 8.1], atol=1e-12)
+    np.testing.assert_allclose(charge, [10.0, 0.0], atol=1e-12)
+    assert local.value(unit, lam) == pytest.approx(11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
+
+
+def test_storage_dp_ties_end_at_higher_soc():
+    """With every action free, any schedule is optimal; the DP's tie rule
+    fills the battery, which the distributed round counts depend on."""
+    desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=0.5)
+    local = _UserLocal(desd, 3, 1.0)
+    discharge, charge = local.solve(np.zeros(3), np.zeros(3))
+    np.testing.assert_array_equal(discharge, np.zeros(3))
+    np.testing.assert_allclose(charge, [0.5, 0.5, 0.0], atol=1e-12)
+
+
+def test_storage_dp_rejects_non_finite_prices():
+    desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0)
+    local = _UserLocal(desd, 2, 1.0)
+    for lam in (np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
+        with pytest.raises(SolverStall):
+            local.solve(np.zeros(2), lam)
+        with pytest.raises(SolverStall):
+            local.value(np.zeros(2), lam)
+
+
+def test_non_finite_rg_profile_rejected(reference_model):
+    rg = {"u1": np.full(24, np.nan)}
+    with pytest.raises(InvariantViolation, match="finite"):
+        run_codes(reference_model, rg)

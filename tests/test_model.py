@@ -86,6 +86,27 @@ def test_negative_demand_and_price_rejected():
         validate_model(_model(prices=PriceProfile(buy=[-1.0, 1, 1], sell=[0, 0, 0])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected(bad):
+    """NaN fails every comparison, so each range check also needs isfinite."""
+    demands = np.ones((2, 3))
+    demands[1, 2] = bad
+    buy = np.full(3, 10.0)
+    buy[0] = bad
+    cases = [dict(demands=demands),
+             dict(prices=PriceProfile(buy=buy, sell=np.full(3, 8.0)))]
+    for desd in (DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0,
+                            bdc=ConstantBdc(bad)),
+                 DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0,
+                            bdc=PiecewiseSocBdc(((0.0, 1.0), (0.5, bad)))),
+                 DesdParams(e0=1.0, e_min=0.0, e_max=bad, p_b_max=1.0),
+                 DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=bad)):
+        cases.append(dict(users=(UserSpec("a"), UserSpec("b", desd=desd))))
+    for override in cases:
+        with pytest.raises(InvariantViolation):
+            validate_model(_model(**override))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(InvariantViolation, match="shape"):
         validate_model(_model(demands=np.ones((2, 5))))

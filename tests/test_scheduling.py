@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasible,
-                         LengthMismatch, MicrogridModel, PiecewiseSocBdc,
+                         InvariantViolation, LengthMismatch, MicrogridModel, PiecewiseSocBdc,
                          PriceProfile, Pv, UserSpec, bdc_cost, individual_costs,
                          soc_trajectory, solve_individual, solve_social,
                          trading_cost, validate_model)
@@ -144,6 +144,16 @@ def test_social_cost_identity(reference_model, favorable_rg):
     out = solve_social(reference_model, favorable_rg)
     assert out.social_cost == pytest.approx(
         out.trading_cost + sum(out.bdc_costs.values()), abs=1e-9)
+
+
+def test_non_finite_rg_profile_rejected(reference_model, favorable_rg):
+    rg = dict(favorable_rg.profiles)
+    rg["u3"] = rg["u3"].copy()
+    rg["u3"][5] = np.nan
+    with pytest.raises(InvariantViolation, match="u3"):
+        solve_social(reference_model, rg)
+    with pytest.raises(InvariantViolation, match="u3"):
+        individual_costs(reference_model, rg)
 
 
 def test_infeasible_when_grid_too_small():
