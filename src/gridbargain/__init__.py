@@ -9,9 +9,8 @@ cost misreporting the scheme survives.
 """
 
 from .bargaining import (AllocationResult, Interval, RegionProbability, adjusted_allocation,
-                         allocate, dishonest_benefit, estimate_region_probability,
-                         gamma_solo_bound, manipulation_interval, region_probabilities,
-                         resilience_report, selfish_cost)
+                         allocate, dishonest_benefit, gamma_solo_bound, manipulation_interval,
+                         region_probabilities, resilience_report, selfish_cost)
 from .codes import (CodesConfig, CodesRun, RoundMessage, convergence_trace,
                     dump_message_log, run_codes)
 from .consensus import (ConsensusRun, allocate_from_consensus, metropolis_weights,

@@ -31,7 +31,6 @@ __all__ = [
     "gamma_solo_bound",
     "manipulation_interval",
     "dishonest_benefit",
-    "estimate_region_probability",
     "region_probabilities",
     "resilience_report",
     "PREDICATES",
@@ -229,20 +228,6 @@ def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
             n_samples=int(n_samples),
         )
     return out
-
-
-def estimate_region_probability(d, eps0, honest, predicate, n_samples, seed=0,
-                                gamma_high=1.0):
-    """Probability of one outcome region under random selfishness.
-
-    ``predicate`` is one of PREDICATES: the bargain failing, every
-    dishonest user strictly profiting, or the bargain holding while some
-    dishonest user still loses. The three regions partition the sampled
-    cube. Deterministic for a fixed seed.
-    """
-    if predicate not in PREDICATES:
-        raise ValueError(f"predicate must be one of {PREDICATES}, got {predicate!r}")
-    return region_probabilities(d, eps0, honest, n_samples, seed, gamma_high)[predicate]
 
 
 def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0):

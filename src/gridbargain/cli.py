@@ -32,6 +32,7 @@ from .errors import (
     GridBargainError,
     Infeasible,
     InvariantViolation,
+    LengthMismatch,
     NoConvergence,
     SolverStall,
 )
@@ -41,9 +42,12 @@ log = logging.getLogger("gridbargain")
 
 def _parse_floats(text, flag):
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise InvariantViolation([f"{flag}: expected comma-separated numbers, got {text!r}"])
+    if not np.all(np.isfinite(values)):
+        raise InvariantViolation([f"{flag}: values must be finite, got {text!r}"])
+    return values
 
 
 def _parse_honest(text):
@@ -81,6 +85,10 @@ def _load_bundle(args):
         })
     model = io.load_model(config.model_path)
     pools = io.build_pools(config)
+    for uid, pool in pools.items():
+        if pool.profiles.shape[1] != model.horizon.steps:
+            raise LengthMismatch(f"scenario pool of {uid}: rows have {pool.profiles.shape[1]} "
+                                 f"values but the horizon has {model.horizon.steps} steps")
     rg = None
     if pools:
         if config.forecast is None:
@@ -91,33 +99,21 @@ def _load_bundle(args):
 
 
 def _schedule(model, rg, config, solver, seed):
-    """Run one solver; returns (j_soc, report fragment, codes run or None)."""
-    if solver == "centralized":
-        t0 = time.perf_counter()
-        outcome = scheduling.solve_social(model, rg)
-        elapsed = time.perf_counter() - t0
-        frag = {
-            "solver": "centralized",
-            "j_soc": outcome.social_cost,
-            "trading_cost": outcome.trading_cost,
-            "bdc_costs": outcome.bdc_costs,
-            "outer_iterations": outcome.outer_iterations,
-        }
-        return outcome, frag, None, elapsed
-    cfg = _codes_config(config.codes_overrides if config else {})
+    """Run one solver; returns (outcome, report fragment, codes run or None, seconds)."""
     t0 = time.perf_counter()
-    run = codes.run_codes(model, rg, config=cfg, seed=seed)
+    if solver == "centralized":
+        outcome, run = scheduling.solve_social(model, rg), None
+        extra = {"outer_iterations": outcome.outer_iterations}
+    else:
+        cfg = _codes_config(config.codes_overrides if config else {})
+        run = codes.run_codes(model, rg, config=cfg, seed=seed)
+        outcome = run.outcome
+        extra = {"iterations": run.iterations, "converged": run.converged,
+                 "certified_gap": run.gap}
     elapsed = time.perf_counter() - t0
-    frag = {
-        "solver": "distributed",
-        "j_soc": run.outcome.social_cost,
-        "trading_cost": run.outcome.trading_cost,
-        "bdc_costs": run.outcome.bdc_costs,
-        "iterations": run.iterations,
-        "converged": run.converged,
-        "certified_gap": run.gap,
-    }
-    return run.outcome, frag, run, elapsed
+    frag = {"solver": solver, "j_soc": outcome.social_cost,
+            "trading_cost": outcome.trading_cost, "bdc_costs": outcome.bdc_costs, **extra}
+    return outcome, frag, run, elapsed
 
 
 def _write_decisions(out, model, outcome):
@@ -194,6 +190,8 @@ def _bargain_inputs(args):
     if args.d_vector is not None:
         if args.jsoc is None:
             raise InvariantViolation(["--d-vector needs --jsoc"])
+        if not np.isfinite(args.jsoc):
+            raise InvariantViolation([f"--jsoc must be finite, got {args.jsoc}"])
         d = _parse_floats(args.d_vector, "--d-vector")
         return None, d, float(args.jsoc), None, {}
     if args.config is None:

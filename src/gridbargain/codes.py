@@ -28,10 +28,13 @@ at geometrically growing rounds, so averages cover roughly the trailing
 half). The candidate schedule is the tail-averaged user schedules with
 the grid absorbing the leftover imbalance; its cost minus the dual
 value of the tail-averaged network price is a certified optimality gap,
-and the run stops once that certificate meets the cost tolerance. A
-final per-user cleanup pass re-times each storage schedule at fixed net
-injection, which removes any simultaneous charge/discharge the
-averaging introduced.
+and the run stops once that certificate meets the cost tolerance. When
+the gap is close or the rounds run out, a round-robin rebalance lets
+each user in turn re-solve against the true tariff together with the
+grid. A final per-user cleanup pass re-times each storage schedule at
+fixed net injection, which removes any simultaneous charge/discharge
+the averaging introduced. These two are the only LPs (HiGHS); both are
+the pooled LP of ``scheduling._storage_lp`` on fewer ports.
 
 The routine is deterministic for a given (model, config, seed); the
 seed only feeds the optional initial price jitter and is recorded.
@@ -49,8 +52,8 @@ from scipy.optimize import linprog
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
-from .scheduling import (SocialDecision, SocialScheduleOutcome, _rg_profile, _soc_rows,
-                         bdc_cost, trading_cost)
+from .scheduling import (SocialScheduleOutcome, _costed, _rg_profiles, _storage_lp,
+                         trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -250,14 +253,12 @@ class _UserLocal:
     min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
     polytope. The per-round step and its value are ``_storage_dp`` in
     energy units: drain x = discharge dt / kappa, fill y = kappa charge
-    dt. The two programs that couple the user to the grid (cleanup and
-    rebalance) run rarely and stay LPs over the shared SOC rows.
+    dt. The cleanup and rebalance programs run rarely and stay LPs, on
+    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``.
     """
 
     def __init__(self, desd, T, dt):
         self.desd, self.T, self.dt = desd, T, dt
-        self.A_ub, self.b_ub = _soc_rows(desd, T, dt, False)
-        self.bounds = [(0.0, desd.p_b_max)] * (2 * T)
         kappa = desd.kappa
         self._dp_args = (desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
                          desd.e_max - desd.e_min, desd.e0 - desd.e_min)
@@ -282,34 +283,28 @@ class _UserLocal:
     def min_throughput(self, unit_cost, net):
         """Cheapest schedule with the given net injection (cleanup pass)."""
         T = self.T
-        A_eq = np.hstack([np.eye(T), -np.eye(T)])
+        lp = _storage_lp([(self.desd.p_b_max, self.desd)], T, self.dt)
         c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
-        res = linprog(c, A_ub=self.A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=net,
-                      bounds=self.bounds, method="highs")
+        res = linprog(c, **lp, b_eq=net, method="highs")
         if res.status != 0:
             raise SolverStall(f"cleanup pass failed: {res.message}")
         return res.x[:T], res.x[T:]
 
-    def social_response(self, unit_cost, pb, ps, p_max, resid, dt):
+    def social_response(self, unit_cost, pb, ps, p_max, resid):
         """Best response against the true tariff with everyone else frozen.
 
         resid is the imbalance this user and the grid must cover
-        together; variables are [discharge, charge, grid buy, grid
-        sell] and the answer is the user's schedule plus the cost of
-        the pair.
+        together; the ports are this battery then the grid, so the
+        variables are [discharge, charge, grid buy, grid sell]. Returns
+        the user's schedule.
         """
         T = self.T
-        Z = np.zeros((2 * T, 2 * T))
-        A_ub = np.hstack([self.A_ub, Z])
-        eye = np.eye(T)
-        A_eq = np.hstack([eye, -eye, eye, -eye])
-        c = np.concatenate([unit_cost + 1e-9, unit_cost + 1e-9, pb, ps * -1.0]) * dt
-        bounds = self.bounds + [(0.0, p_max)] * (2 * T)
-        res = linprog(c, A_ub=A_ub, b_ub=self.b_ub, A_eq=A_eq, b_eq=resid,
-                      bounds=bounds, method="highs")
+        lp = _storage_lp([(self.desd.p_b_max, self.desd), (p_max, None)], T, self.dt)
+        c = np.concatenate([unit_cost + 1e-9, unit_cost + 1e-9, pb, ps * -1.0]) * self.dt
+        res = linprog(c, **lp, b_eq=resid, method="highs")
         if res.status != 0:
             raise SolverStall(f"rebalance step failed: {res.message}")
-        return res.x[:T], res.x[T:2 * T], float(res.fun)
+        return res.x[:T], res.x[T:2 * T]
 
 
 def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
@@ -337,7 +332,7 @@ def run_codes(model, rg=None, config=None, seed=None):
     pb, ps = model.prices.buy, model.prices.sell
     p_max = model.grid.p_g_max
 
-    rg_prof = {u.id: _rg_profile(rg, u.id, T) for u in model.users}
+    rg_prof = _rg_profiles(rg, model.users, T)
 
     netload = model.demands.sum(axis=0) - sum(rg_prof.values())
     W = metropolis_weights(model.graph, n)
@@ -427,8 +422,8 @@ def run_codes(model, rg=None, config=None, seed=None):
         for _ in range(3):
             for u in active:
                 own = d[u.id] - c[u.id]
-                nd, nc, _ = locals_[u.id].social_response(
-                    units[u.id], pb, ps, p_max, netload - (inj - own), dt)
+                nd, nc = locals_[u.id].social_response(
+                    units[u.id], pb, ps, p_max, netload - (inj - own))
                 inj += (nd - nc) - own
                 d[u.id], c[u.id] = nd, nc
             g = netload - inj
@@ -566,21 +561,14 @@ def run_codes(model, rg=None, config=None, seed=None):
             st.dual_prices, st.mismatch = lam[idx], M[idx]
 
     avg_d, avg_c, gb, gs, resid = best
-    discharge, charge, soc, bdc_costs = {}, {}, {}, {}
+    discharge, charge = {}, {}
     for u in active:
-        d_c, c_c = locals_[u.id].min_throughput(units[u.id], avg_d[u.id] - avg_c[u.id])
-        discharge[u.id], charge[u.id] = d_c, c_c
-        soc[u.id] = soc_trajectory(u.desd, d_c, c_c, dt)
-        bdc_costs[u.id] = bdc_cost(u.desd.bdc, d_c, c_c, soc[u.id], u.desd.e_max, dt)
-    trade = trading_cost(model.prices, gb, gs, dt)
-    outcome = SocialScheduleOutcome(
-        decision=SocialDecision(gb, gs, discharge, charge),
-        trading_cost=trade, bdc_costs=bdc_costs,
-        social_cost=trade + sum(bdc_costs.values()), soc=soc,
-    )
-    ledger = {GRID_AGENT: trade}
+        discharge[u.id], charge[u.id] = locals_[u.id].min_throughput(
+            units[u.id], avg_d[u.id] - avg_c[u.id])
+    outcome = _costed(active, gb, gs, discharge, charge, model.prices, dt)
+    ledger = {GRID_AGENT: outcome.trading_cost}
     for u in model.users:
-        ledger[u.id] = bdc_costs.get(u.id, 0.0)
+        ledger[u.id] = outcome.bdc_costs.get(u.id, 0.0)
 
     return CodesRun(
         outcome=outcome, ledger=ledger, converged=converged,

@@ -272,7 +272,9 @@ def load_experiment(path):
     gamma = None
     if raw.get("gamma") is not None:
         gamma = np.asarray(raw["gamma"], dtype=float)
-        if np.any(gamma < 0.0):
+        if not np.all(np.isfinite(gamma)):
+            problems.append("gamma entries must be finite")
+        elif np.any(gamma < 0.0):
             problems.append("gamma entries must be >= 0")
 
     sweep = raw.get("gamma_sweep")

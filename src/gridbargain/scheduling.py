@@ -1,13 +1,14 @@
 """Day-ahead scheduling.
 
-Two solvers over the same physics:
+One problem, solved for two memberships:
 
-* ``solve_social``     one pooled problem for the whole microgrid; the
+* ``solve_social``     the pooled problem for the whole microgrid; the
   grid exchange is shared and every storage device works toward the
   aggregate bill. Its optimum is the cooperative ("social") cost the
   bargaining layer allocates.
-* ``solve_individual`` one user alone against the utility tariff; its
-  optimum is that user's ideal (non-cooperative) cost.
+* ``solve_individual`` the same problem with one user as the only
+  member, facing the utility tariff alone; its optimum is that user's
+  ideal (non-cooperative) cost.
 
 Both minimize trading cost plus battery degradation over the horizon,
 subject to power balance at every step, state-of-charge limits, device
@@ -17,6 +18,10 @@ degradation cost is handled by successive linearization: solve with the
 cost profile looked up on the previous SOC trajectory, re-lookup,
 repeat until the true cost moves less than CONVERGED_DELTA_CENTS (at
 most MAX_OUTER linearizations).
+
+Every storage LP in the package, the distributed solver's cleanup and
+rebalance programs included, is laid out by ``_storage_lp`` from an
+ordered list of ports: the grid, or one battery with its SOC rows.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -31,6 +36,7 @@ from scipy.optimize import linprog
 
 from .errors import Infeasible, InvariantViolation, LengthMismatch, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
+from .rg_forecast import RgForecastResult
 
 __all__ = [
     "trading_cost",
@@ -126,37 +132,126 @@ def _soc_rows(desd, T, dt, refill_terminal):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, what):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+def _storage_lp(ports, T, dt, refill_terminal=False):
+    """Constraint keywords for ``linprog`` over an ordered list of ports.
+
+    A port is (cap, desd): T columns of power into the bus, then T of
+    power out of it, each in [0, cap]. The grid is a port without a
+    device (buy, sell); a battery is one with its DesdParams (discharge,
+    charge) and adds its SOC rows. The T balance rows sum every port's
+    net injection; the caller supplies b_eq.
+    """
+    n = 2 * T * len(ports)
+    bounds, blocks, rhss = [], [], []
+    for k, (cap, desd) in enumerate(ports):
+        bounds += [(0.0, cap)] * (2 * T)
+        if desd is not None:
+            rows, rhs = _soc_rows(desd, T, dt, refill_terminal)
+            block = np.zeros((rows.shape[0], n))
+            block[:, 2 * T * k:2 * T * (k + 1)] = rows
+            blocks.append(block)
+            rhss.append(rhs)
+    return {"A_ub": np.vstack(blocks) if blocks else None,
+            "b_ub": np.concatenate(rhss) if rhss else None,
+            "A_eq": np.hstack([np.eye(T), -np.eye(T)] * len(ports)), "bounds": bounds}
+
+
+def _solve_lp(c, lp, b_eq, what):
+    """HiGHS on one storage LP; the answer is checked against its constraints."""
+    res = linprog(c, **lp, b_eq=b_eq, method="highs")
     if res.status == 2:
         raise Infeasible(f"{what}: {res.message}")
     if res.status != 0:
         raise SolverStall(f"{what}: {res.message}")
-    return res.x
-
-
-def _check_residuals(x, A_eq, b_eq, bounds, what):
-    if A_eq is not None:
-        resid = float(np.max(np.abs(A_eq @ x - b_eq)))
-        if resid > FEAS_TOL:
-            raise SolverStall(f"{what}: balance residual {resid:g} above {FEAS_TOL:g}")
-    for v, (lo, hi) in zip(x, bounds):
+    x = res.x
+    resid = float(np.max(np.abs(lp["A_eq"] @ x - b_eq)))
+    if resid > FEAS_TOL:
+        raise SolverStall(f"{what}: balance residual {resid:g} above {FEAS_TOL:g}")
+    for v, (lo, hi) in zip(x, lp["bounds"]):
         if v < lo - FEAS_TOL or v > hi + FEAS_TOL:
             raise SolverStall(f"{what}: variable bound violated by more than {FEAS_TOL:g}")
+    return x
 
 
-def _rg_profile(rg, uid, T):
-    """User uid's generation profile from a forecast result or a dict."""
-    if rg is None:
-        return np.zeros(T)
-    prof = rg.profiles.get(uid) if hasattr(rg, "profiles") else rg.get(uid)
-    if prof is None:
-        return np.zeros(T)
-    prof = np.asarray(prof, dtype=float)
-    if not np.all(np.isfinite(prof)):
-        raise InvariantViolation(f"rg profile of user {uid}: values must be finite")
-    return prof
+def _rg_profiles(rg, users, T):
+    """Every user's generation profile as a (T,) array, zeros where ``rg`` has none.
+
+    ``rg`` is an RgForecastResult, a plain {user id: profile} dict or None.
+    """
+    given = rg.profiles if isinstance(rg, RgForecastResult) else (rg or {})
+    out = {}
+    for u in users:
+        prof = given.get(u.id)
+        prof = np.zeros(T) if prof is None else np.asarray(prof, dtype=float)
+        if prof.shape != (T,):
+            raise LengthMismatch(
+                f"rg profile of user {u.id}: shape {prof.shape}, expected ({T},)")
+        if not np.all(np.isfinite(prof)):
+            raise InvariantViolation(f"rg profile of user {u.id}: values must be finite")
+        out[u.id] = prof
+    return out
+
+
+def _costed(active, grid_buy, grid_sell, discharge, charge, prices, dt, outer=1):
+    """A pooled schedule with its SOC trajectories and true costs."""
+    soc, bdc_costs = {}, {}
+    for u in active:
+        soc[u.id] = soc_trajectory(u.desd, discharge[u.id], charge[u.id], dt)
+        bdc_costs[u.id] = bdc_cost(u.desd.bdc, discharge[u.id], charge[u.id],
+                                   soc[u.id], u.desd.e_max, dt)
+    trade = trading_cost(prices, grid_buy, grid_sell, dt)
+    return SocialScheduleOutcome(
+        decision=SocialDecision(grid_buy, grid_sell, discharge, charge),
+        trading_cost=trade, bdc_costs=bdc_costs,
+        social_cost=trade + sum(bdc_costs.values()), soc=soc, outer_iterations=outer,
+    )
+
+
+def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
+    """Minimum-cost schedule of ``users`` sharing one grid connection.
+
+    ``net`` is their demand minus generation. The grid is the first
+    port, each active user's battery the next, in model order. The unit
+    degradation costs start from the initial SOC and get re-looked-up on
+    the achieved trajectory until the true cost settles.
+    """
+    active = [u for u in users if u.is_active]
+    lp = _storage_lp([(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
+                     T, dt, refill_terminal)
+    unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
+            for u in active}
+    all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
+
+    prev_cost = None
+    best = None
+    for outer in range(1, MAX_OUTER + 1):
+        c = np.concatenate(
+            [prices.buy * dt, -prices.sell * dt]
+            + [np.concatenate([unit[u.id], unit[u.id]]) * dt for u in active]
+        )
+        x = _solve_lp(c, lp, net, what)
+
+        dc = x[2 * T:].reshape(len(active), 2, T)  # (discharge, charge) per battery
+        out = _costed(active, x[:T], x[T:2 * T], {u.id: d for u, (d, _) in zip(active, dc)},
+                      {u.id: ch for u, (_, ch) in zip(active, dc)}, prices, dt, outer)
+        if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)
+               or np.any(out.soc[u.id] > u.desd.e_max + FEAS_TOL) for u in active):
+            raise SolverStall(f"{what}: SOC left its bounds")
+        cost = out.social_cost
+
+        # every iterate is feasible and costed under the true step
+        # costs, so the best one is always a valid answer even when
+        # the linearization cycles instead of settling
+        if best is None or cost < best.social_cost:
+            best = out
+        if all_constant or (prev_cost is not None
+                            and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
+            return best
+        prev_cost = cost
+        unit = {u.id: np.asarray(u.desd.bdc.unit_cost(out.soc[u.id] / u.desd.e_max),
+                                 dtype=float)
+                for u in active}
+    return best
 
 
 def solve_social(model, rg=None, *, refill_terminal=False):
@@ -169,155 +264,41 @@ def solve_social(model, rg=None, *, refill_terminal=False):
     """
     model = validate_model(model)
     T, dt = int(model.horizon.steps), float(model.horizon.dt)
-    active = [u for u in model.users if u.is_active]
-
     net = model.demands.sum(axis=0).astype(float).copy()
-    for u in model.users:
-        net -= _rg_profile(rg, u.id, T)
-
-    n = 2 * T + 2 * T * len(active)
-    bounds = [(0.0, model.grid.p_g_max)] * (2 * T)
-    A_eq = np.zeros((T, n))
-    I = np.eye(T)
-    A_eq[:, :T] = I
-    A_eq[:, T:2 * T] = -I
-    blocks, rhss = [], []
-    for k, u in enumerate(active):
-        col = 2 * T + 2 * T * k
-        A_eq[:, col:col + T] = I
-        A_eq[:, col + T:col + 2 * T] = -I
-        bounds += [(0.0, u.desd.p_b_max)] * (2 * T)
-        rows, rhs = _soc_rows(u.desd, T, dt, refill_terminal)
-        block = np.zeros((rows.shape[0], n))
-        block[:, col:col + 2 * T] = rows
-        blocks.append(block)
-        rhss.append(rhs)
-    A_ub = np.vstack(blocks) if blocks else None
-    b_ub = np.concatenate(rhss) if rhss else None
-
-    # c_d profiles start from the initial SOC and get re-looked-up on the
-    # achieved trajectory until the true cost settles.
-    unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
-            for u in active}
-    all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
-
-    prev_cost = None
-    best = None
-    for outer in range(1, MAX_OUTER + 1):
-        c = np.concatenate(
-            [model.prices.buy * dt, -model.prices.sell * dt]
-            + [np.concatenate([unit[u.id], unit[u.id]]) * dt for u in active]
-        )
-        x = _solve_lp(c, A_ub, b_ub, A_eq, net, bounds, "social schedule")
-        _check_residuals(x, A_eq, net, bounds, "social schedule")
-
-        grid_buy, grid_sell = x[:T], x[T:2 * T]
-        discharge, charge, soc, bdc_costs = {}, {}, {}, {}
-        for k, u in enumerate(active):
-            col = 2 * T + 2 * T * k
-            discharge[u.id] = x[col:col + T]
-            charge[u.id] = x[col + T:col + 2 * T]
-            soc[u.id] = soc_trajectory(u.desd, discharge[u.id], charge[u.id], dt)
-            lo, hi = u.desd.e_min - FEAS_TOL, u.desd.e_max + FEAS_TOL
-            if np.any(soc[u.id] < lo) or np.any(soc[u.id] > hi):
-                raise SolverStall("social schedule: SOC left its bounds")
-            bdc_costs[u.id] = bdc_cost(u.desd.bdc, discharge[u.id], charge[u.id],
-                                       soc[u.id], u.desd.e_max, dt)
-        trade = trading_cost(model.prices, grid_buy, grid_sell, dt)
-        cost = trade + sum(bdc_costs.values())
-
-        # every iterate is feasible and costed under the true step
-        # costs, so the best one is always a valid answer even when
-        # the linearization cycles instead of settling
-        if best is None or cost < best.social_cost:
-            best = SocialScheduleOutcome(
-                decision=SocialDecision(grid_buy, grid_sell, discharge, charge),
-                trading_cost=trade, bdc_costs=bdc_costs, social_cost=cost,
-                soc=soc, outer_iterations=outer,
-            )
-        if all_constant or (prev_cost is not None
-                            and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
-            return best
-        prev_cost = cost
-        unit = {u.id: np.asarray(u.desd.bdc.unit_cost(soc[u.id] / u.desd.e_max),
-                                 dtype=float)
-                for u in active}
-    return best
+    for prof in _rg_profiles(rg, model.users, T).values():
+        net -= prof
+    return _pooled(model.users, net, model.prices, model.grid.p_g_max, T, dt,
+                   refill_terminal, "social schedule")
 
 
 def solve_individual(user, demand, prices, grid, horizon, rg_profile=None,
                      *, refill_terminal=False):
     """Minimum-cost schedule for one user facing the tariff alone.
 
-    A passive user reduces to the forced purchase of its demand. The
+    This is the pooled problem with the user as its only member. A
+    passive user reduces to the forced purchase of its demand. The
     returned ``cost`` is the user's ideal cost D_i (trading plus
     degradation); negative values are net profit from exports.
     """
     T, dt = int(horizon.steps), float(horizon.dt)
-    demand = np.asarray(demand, dtype=float)
-    net = demand - (np.zeros(T) if rg_profile is None else np.asarray(rg_profile, dtype=float))
-
-    has_desd = user.desd is not None
-    n = 2 * T + (2 * T if has_desd else 0)
-    bounds = [(0.0, grid.p_g_max)] * (2 * T)
-    I = np.eye(T)
-    A_eq = np.zeros((T, n))
-    A_eq[:, :T] = I
-    A_eq[:, T:2 * T] = -I
-    A_ub = b_ub = None
-    if has_desd:
-        A_eq[:, 2 * T:3 * T] = I
-        A_eq[:, 3 * T:4 * T] = -I
-        bounds += [(0.0, user.desd.p_b_max)] * (2 * T)
-        rows, rhs = _soc_rows(user.desd, T, dt, refill_terminal)
-        A_ub = np.zeros((rows.shape[0], n))
-        A_ub[:, 2 * T:] = rows
-        b_ub = rhs
-
-    unit = (np.full(T, float(user.desd.bdc.unit_cost(user.desd.e0 / user.desd.e_max)))
-            if has_desd else None)
-    prev_cost = None
-    best = None
-    for outer in range(1, MAX_OUTER + 1):
-        parts = [prices.buy * dt, -prices.sell * dt]
-        if has_desd:
-            parts.append(np.concatenate([unit, unit]) * dt)
-        x = _solve_lp(np.concatenate(parts), A_ub, b_ub, A_eq, net, bounds,
-                      f"individual schedule ({user.id})")
-        _check_residuals(x, A_eq, net, bounds, f"individual schedule ({user.id})")
-
-        grid_buy, grid_sell = x[:T], x[T:2 * T]
-        trade = trading_cost(prices, grid_buy, grid_sell, dt)
-        if not has_desd:
-            return IndividualOutcome(
-                decision=IndividualDecision(grid_buy, grid_sell, None, None),
-                trading_cost=trade, bdc_cost=0.0, cost=trade, soc=None,
-            )
-        discharge, charge = x[2 * T:3 * T], x[3 * T:4 * T]
-        soc = soc_trajectory(user.desd, discharge, charge, dt)
-        deg = bdc_cost(user.desd.bdc, discharge, charge, soc, user.desd.e_max, dt)
-        cost = trade + deg
-        if best is None or cost < best.cost:  # same cycle guard as the pool
-            best = IndividualOutcome(
-                decision=IndividualDecision(grid_buy, grid_sell, discharge, charge),
-                trading_cost=trade, bdc_cost=deg, cost=cost, soc=soc,
-            )
-        if isinstance(user.desd.bdc, ConstantBdc) or (
-                prev_cost is not None and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
-            return best
-        prev_cost = cost
-        unit = np.asarray(user.desd.bdc.unit_cost(soc / user.desd.e_max), dtype=float)
-    return best
+    net = (np.asarray(demand, dtype=float)
+           - _rg_profiles({user.id: rg_profile}, [user], T)[user.id])
+    out = _pooled([user], net, prices, grid.p_g_max, T, dt, refill_terminal,
+                  f"individual schedule ({user.id})")
+    dec = out.decision
+    return IndividualOutcome(
+        decision=IndividualDecision(dec.grid_buy, dec.grid_sell,
+                                    dec.discharge.get(user.id), dec.charge.get(user.id)),
+        trading_cost=out.trading_cost, bdc_cost=out.bdc_costs.get(user.id, 0.0),
+        cost=out.social_cost, soc=out.soc.get(user.id),
+    )
 
 
 def individual_costs(model, rg=None, *, refill_terminal=False):
     """solve_individual for every user; returns {user_id: IndividualOutcome}."""
     model = validate_model(model)
-    out = {}
-    for k, u in enumerate(model.users):
-        out[u.id] = solve_individual(
-            u, model.demands[k], model.prices, model.grid, model.horizon,
-            rg_profile=_rg_profile(rg, u.id, int(model.horizon.steps)),
-            refill_terminal=refill_terminal,
-        )
-    return out
+    profiles = _rg_profiles(rg, model.users, int(model.horizon.steps))
+    return {u.id: solve_individual(u, model.demands[k], model.prices, model.grid,
+                                   model.horizon, rg_profile=profiles[u.id],
+                                   refill_terminal=refill_terminal)
+            for k, u in enumerate(model.users)}

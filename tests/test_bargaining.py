@@ -10,8 +10,7 @@ import pytest
 
 from gridbargain import (BargainingFailed, Interval, NegativeGamma, ZeroIdealCost,
                          adjusted_allocation, allocate, dishonest_benefit,
-                         estimate_region_probability, gamma_solo_bound,
-                         manipulation_interval, region_probabilities,
+                         gamma_solo_bound, manipulation_interval, region_probabilities,
                          resilience_report, selfish_cost)
 from gridbargain.bargaining import PREDICATES
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
@@ -256,19 +255,11 @@ def test_region_probabilities_reference_targets():
 
 
 def test_region_deterministic_and_block_invariant():
-    a = estimate_region_probability(FAV.d, FAV.eps0, {1}, "bargaining_fails",
-                                    n_samples=200_000, seed=42)
-    b = estimate_region_probability(FAV.d, FAV.eps0, {1}, "bargaining_fails",
-                                    n_samples=200_000, seed=42)
+    a = region_probabilities(FAV.d, FAV.eps0, {1}, n_samples=200_000, seed=42)
+    b = region_probabilities(FAV.d, FAV.eps0, {1}, n_samples=200_000, seed=42)
     assert a == b
-    c = estimate_region_probability(FAV.d, FAV.eps0, {1}, "bargaining_fails",
-                                    n_samples=200_000, seed=43)
-    assert a.probability != c.probability
-
-
-def test_region_unknown_predicate():
-    with pytest.raises(ValueError):
-        estimate_region_probability(FAV.d, FAV.eps0, {0}, "everyone_wins", 100)
+    c = region_probabilities(FAV.d, FAV.eps0, {1}, n_samples=200_000, seed=43)
+    assert a["bargaining_fails"].probability != c["bargaining_fails"].probability
 
 
 def test_predicate_names_stable():

@@ -227,6 +227,35 @@ def test_exit_2_nan_demand(tmp_path, solver):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bargain", "--d-vector", "1,nan,3", "--jsoc", "3", "--samples", "0"],
+    ["bargain", "--d-vector", "1,inf,3", "--jsoc", "3", "--samples", "0"],
+    ["bargain", "--d-vector", "1,2,3", "--jsoc", "inf", "--samples", "0"],
+    ["bargain", "--d-vector", "1,2,3", "--jsoc", "nan", "--samples", "0"],
+    ["bargain", "--d-vector", "1,2,3", "--jsoc", "3", "--gamma", "0,nan,0",
+     "--samples", "0"],
+    ["region", "--d-vector", "1,-inf,3", "--jsoc", "3", "--samples", "10"],
+])
+def test_exit_2_non_finite_numbers(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not (out / "bargain.json").exists()
+
+
+def test_exit_2_non_finite_experiment_gamma(tmp_path):
+    cfg = _experiment(tmp_path, gamma=[0.0, float("nan"), 0.0, 0.0])
+    assert cli.main(["bargain", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["report", "forecast", "schedule"])
+def test_exit_2_scenario_pool_of_wrong_width(tmp_path, command):
+    rows = np.loadtxt(data_path("pool_u1.csv"), delimiter=",", ndmin=2)
+    np.savetxt(tmp_path / "pool_u1.csv", rows[:, :20], delimiter=",")
+    cfg = _experiment(tmp_path, scenarios={
+        "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
+    assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_exit_3_unconverged_distributed_schedule(tmp_path):
     cfg = _bridge_experiment(tmp_path, max_rounds=60, check_every=20,
                              cost_tol_abs=1e-12, cost_tol_rel=1e-15)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolation,
-                         PriceProfile, SolverStall, convergence_trace,
+                         LengthMismatch, PriceProfile, SolverStall, convergence_trace,
                          dump_message_log, run_codes, solve_individual,
                          solve_social, validate_model)
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
+from gridbargain.scheduling import _soc_rows
 
 
 def _tol(cost, config=None):
@@ -243,8 +244,13 @@ def test_storage_dp_matches_highs(program):
     desd, T, dt, unit, lam = program
     local = _UserLocal(desd, T, dt)
     c = np.concatenate([unit - lam, unit + lam]) * dt
-    oracle = linprog(c, A_ub=local.A_ub, b_ub=local.b_ub, bounds=local.bounds,
-                     method="highs")
+    A_ub, b_ub = _soc_rows(desd, T, dt, False)
+    # at HiGHS's default 1e-7 tolerances the oracle itself can miss the
+    # optimum by more than the 1e-9 asserted below when prices are tiny
+    oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, desd.p_b_max)] * (2 * T),
+                     method="highs",
+                     options={"dual_feasibility_tolerance": 1e-10,
+                              "primal_feasibility_tolerance": 1e-10})
     assert oracle.status == 0
     tol = 1e-9 * max(1.0, abs(oracle.fun))
 
@@ -252,7 +258,7 @@ def test_storage_dp_matches_highs(program):
     x = np.concatenate([discharge, charge])
     assert abs(float(c @ x) - oracle.fun) <= tol
     assert abs(local.value(unit, lam) - oracle.fun) <= tol
-    assert np.all(local.A_ub @ x <= local.b_ub + 1e-9)
+    assert np.all(A_ub @ x <= b_ub + 1e-9)
     assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
 
 
@@ -299,3 +305,8 @@ def test_non_finite_rg_profile_rejected(reference_model):
     rg = {"u1": np.full(24, np.nan)}
     with pytest.raises(InvariantViolation, match="finite"):
         run_codes(reference_model, rg)
+
+
+def test_wrong_shape_rg_profile_rejected(reference_model):
+    with pytest.raises(LengthMismatch, match="u1"):
+        run_codes(reference_model, {"u1": np.ones(1)})

@@ -14,10 +14,12 @@ import pytest
 
 from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasible,
                          InvariantViolation, LengthMismatch, MicrogridModel, PiecewiseSocBdc,
-                         PriceProfile, Pv, UserSpec, bdc_cost, individual_costs,
+                         PriceProfile, Pv, UserSpec, bdc_cost, classify_scenarios,
+                         forecast_all, individual_costs,
                          soc_trajectory, solve_individual, solve_social,
                          trading_cost, validate_model)
-from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
+from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
+                                  random_rg_profiles, synthetic_solar_pool)
 from gridbargain.scheduling import FEAS_TOL
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
@@ -154,6 +156,50 @@ def test_non_finite_rg_profile_rejected(reference_model, favorable_rg):
         solve_social(reference_model, rg)
     with pytest.raises(InvariantViolation, match="u3"):
         individual_costs(reference_model, rg)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (23,), (25,), (24, 1), (1, 24)])
+def test_wrong_shape_rg_profile_rejected(reference_model, favorable_rg, shape):
+    rg = dict(favorable_rg.profiles, u3=np.ones(shape))
+    with pytest.raises(LengthMismatch, match="u3"):
+        solve_social(reference_model, rg)
+    with pytest.raises(LengthMismatch, match="u3"):
+        individual_costs(reference_model, rg)
+    k = reference_model.user_index("u3")
+    with pytest.raises(LengthMismatch, match="u3"):
+        solve_individual(reference_model.users[k], reference_model.demands[k],
+                         reference_model.prices, reference_model.grid,
+                         reference_model.horizon, rg_profile=np.ones(shape))
+
+
+def test_forecast_from_narrow_pool_rejected(reference_model):
+    pool = classify_scenarios(synthetic_solar_pool(6.5, n_days=60, T=20, seed=11), "pv",
+                              seed=21)
+    rg = forecast_all({"u1": pool}, FAVORABLE_FORECAST)
+    with pytest.raises(LengthMismatch, match="u1"):
+        solve_social(reference_model, rg)
+    with pytest.raises(LengthMismatch, match="u1"):
+        individual_costs(reference_model, rg)
+
+
+def test_solo_is_pooled_problem_of_one_user():
+    rng = np.random.default_rng(31)
+    bdc = PiecewiseSocBdc(((0.0, 2.0), (0.2, 0.8), (0.8, 1.6)))  # relinearizes
+    for _ in range(3):
+        m = random_model(rng, r_max=4, T=24)
+        rg = random_rg_profiles(m, rng)
+        for k, u in enumerate(m.users):
+            if u.is_active:
+                u = replace(u, desd=replace(u.desd, bdc=bdc))
+            alone = validate_model(MicrogridModel(
+                horizon=m.horizon, users=(u,), demands=m.demands[k:k + 1],
+                prices=m.prices, grid=m.grid))
+            solo = solve_individual(u, m.demands[k], m.prices, m.grid, m.horizon,
+                                    rg_profile=rg.get(u.id), refill_terminal=True)
+            pooled = solve_social(alone, rg, refill_terminal=True)
+            assert solo.cost == pooled.social_cost
+            assert solo.bdc_cost == pooled.bdc_costs.get(u.id, 0.0)
+            np.testing.assert_array_equal(solo.decision.grid_buy, pooled.decision.grid_buy)
 
 
 def test_infeasible_when_grid_too_small():
