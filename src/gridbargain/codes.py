@@ -34,7 +34,8 @@ each user in turn re-solve against the true tariff together with the
 grid. A final per-user cleanup pass re-times each storage schedule at
 fixed net injection, which removes any simultaneous charge/discharge
 the averaging introduced. These two are the only LPs (HiGHS); both are
-the pooled LP of ``scheduling._storage_lp`` on fewer ports.
+the pooled LP of ``scheduling._storage_lp`` on fewer ports, built once
+per run for each user.
 
 The routine is deterministic for a given (model, config, seed); the
 seed only feeds the optional initial price jitter and is recorded.
@@ -52,8 +53,8 @@ from scipy.optimize import linprog
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
-from .scheduling import (SocialScheduleOutcome, _costed, _rg_profiles, _storage_lp,
-                         trading_cost)
+from .scheduling import (SocialScheduleOutcome, _costed, _linprog_input, _rg_profiles,
+                         _storage_lp, trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -254,14 +255,19 @@ class _UserLocal:
     polytope. The per-round step and its value are ``_storage_dp`` in
     energy units: drain x = discharge dt / kappa, fill y = kappa charge
     dt. The cleanup and rebalance programs run rarely and stay LPs, on
-    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``.
+    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``;
+    both are built here, once, since the grid rating p_max is fixed for
+    the run.
     """
 
-    def __init__(self, desd, T, dt):
+    def __init__(self, desd, T, dt, p_max):
         self.desd, self.T, self.dt = desd, T, dt
         kappa = desd.kappa
         self._dp_args = (desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
                          desd.e_max - desd.e_min, desd.e0 - desd.e_min)
+        self._cleanup = _linprog_input(_storage_lp([(desd.p_b_max, desd)], T, dt))
+        self._rebalance = _linprog_input(
+            _storage_lp([(desd.p_b_max, desd), (p_max, None)], T, dt))
 
     def _slopes(self, unit_cost, lam):
         alpha = (unit_cost - lam) * self.desd.kappa
@@ -283,14 +289,13 @@ class _UserLocal:
     def min_throughput(self, unit_cost, net):
         """Cheapest schedule with the given net injection (cleanup pass)."""
         T = self.T
-        lp = _storage_lp([(self.desd.p_b_max, self.desd)], T, self.dt)
         c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
-        res = linprog(c, **lp, b_eq=net, method="highs")
+        res = linprog(c, **self._cleanup, b_eq=net, method="highs")
         if res.status != 0:
             raise SolverStall(f"cleanup pass failed: {res.message}")
         return res.x[:T], res.x[T:]
 
-    def social_response(self, unit_cost, pb, ps, p_max, resid):
+    def social_response(self, unit_cost, pb, ps, resid):
         """Best response against the true tariff with everyone else frozen.
 
         resid is the imbalance this user and the grid must cover
@@ -299,9 +304,8 @@ class _UserLocal:
         the user's schedule.
         """
         T = self.T
-        lp = _storage_lp([(self.desd.p_b_max, self.desd), (p_max, None)], T, self.dt)
         c = np.concatenate([unit_cost + 1e-9, unit_cost + 1e-9, pb, ps * -1.0]) * self.dt
-        res = linprog(c, **lp, b_eq=resid, method="highs")
+        res = linprog(c, **self._rebalance, b_eq=resid, method="highs")
         if res.status != 0:
             raise SolverStall(f"rebalance step failed: {res.message}")
         return res.x[:T], res.x[T:2 * T]
@@ -338,7 +342,7 @@ def run_codes(model, rg=None, config=None, seed=None):
     W = metropolis_weights(model.graph, n)
 
     active = [u for u in model.users if u.is_active]
-    locals_ = {u.id: _UserLocal(u.desd, T, dt) for u in active}
+    locals_ = {u.id: _UserLocal(u.desd, T, dt, p_max) for u in active}
     units = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
              for u in active}
     all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
@@ -423,7 +427,7 @@ def run_codes(model, rg=None, config=None, seed=None):
             for u in active:
                 own = d[u.id] - c[u.id]
                 nd, nc = locals_[u.id].social_response(
-                    units[u.id], pb, ps, p_max, netload - (inj - own))
+                    units[u.id], pb, ps, netload - (inj - own))
                 inj += (nd - nc) - own
                 d[u.id], c[u.id] = nd, nc
             g = netload - inj

@@ -109,6 +109,8 @@ def classify_scenarios(profiles, kind, n_classes=None, *, seed=None, weights="ra
     K = profiles.shape[0]
     if K < n_classes:
         raise TooFewScenarios(f"{K} scenarios cannot fill {n_classes} classes")
+    if not np.all(np.isfinite(profiles)):
+        raise InvariantViolation("profiles: generation must be finite")
     if np.any(profiles < 0.0):
         raise InvariantViolation("profiles: generation must be >= 0")
 

@@ -256,6 +256,17 @@ def test_exit_2_scenario_pool_of_wrong_width(tmp_path, command):
     assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_exit_2_nan_in_scenario_pool(tmp_path):
+    rows = np.loadtxt(data_path("pool_u1.csv"), delimiter=",", ndmin=2)
+    rows[3, 12] = np.nan
+    np.savetxt(tmp_path / "pool_u1.csv", rows, delimiter=",")
+    cfg = _experiment(tmp_path, scenarios={
+        "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
+    out = tmp_path / "out"
+    assert cli.main(["forecast", cfg, "--out", str(out)]) == 2
+    assert not (out / "forecast.json").exists()
+
+
 def test_exit_3_unconverged_distributed_schedule(tmp_path):
     cfg = _bridge_experiment(tmp_path, max_rounds=60, check_every=20,
                              cost_tol_abs=1e-12, cost_tol_rel=1e-15)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from gridbargain import codes
 from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolation,
                          LengthMismatch, PriceProfile, SolverStall, convergence_trace,
                          dump_message_log, run_codes, solve_individual,
                          solve_social, validate_model)
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
-from gridbargain.scheduling import _soc_rows
+from gridbargain.scheduling import _storage_lp
 
 
 def _tol(cost, config=None):
@@ -242,9 +243,10 @@ def storage_programs(draw):
 @given(storage_programs())
 def test_storage_dp_matches_highs(program):
     desd, T, dt, unit, lam = program
-    local = _UserLocal(desd, T, dt)
+    local = _UserLocal(desd, T, dt, p_max=10.0)
     c = np.concatenate([unit - lam, unit + lam]) * dt
-    A_ub, b_ub = _soc_rows(desd, T, dt, False)
+    lp = _storage_lp([(desd.p_b_max, desd)], T, dt)
+    A_ub, b_ub = lp["A_ub"], lp["b_ub"]
     # at HiGHS's default 1e-7 tolerances the oracle itself can miss the
     # optimum by more than the 1e-9 asserted below when prices are tiny
     oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, desd.p_b_max)] * (2 * T),
@@ -273,7 +275,7 @@ def test_storage_dp_bridge_by_hand():
     """
     desd = DesdParams(e0=0.0, e_min=0.0, e_max=12.0, p_b_max=10.0, kappa=0.9,
                       bdc=ConstantBdc(1.0))
-    local = _UserLocal(desd, 2, 1.0)
+    local = _UserLocal(desd, 2, 1.0, p_max=10.0)
     unit, lam = np.ones(2), np.array([10.0, 30.0])
     discharge, charge = local.solve(unit, lam)
     np.testing.assert_allclose(discharge, [0.0, 8.1], atol=1e-12)
@@ -285,7 +287,7 @@ def test_storage_dp_ties_end_at_higher_soc():
     """With every action free, any schedule is optimal; the DP's tie rule
     fills the battery, which the distributed round counts depend on."""
     desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=0.5)
-    local = _UserLocal(desd, 3, 1.0)
+    local = _UserLocal(desd, 3, 1.0, p_max=10.0)
     discharge, charge = local.solve(np.zeros(3), np.zeros(3))
     np.testing.assert_array_equal(discharge, np.zeros(3))
     np.testing.assert_allclose(charge, [0.5, 0.5, 0.0], atol=1e-12)
@@ -293,7 +295,7 @@ def test_storage_dp_ties_end_at_higher_soc():
 
 def test_storage_dp_rejects_non_finite_prices():
     desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0)
-    local = _UserLocal(desd, 2, 1.0)
+    local = _UserLocal(desd, 2, 1.0, p_max=10.0)
     for lam in (np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
         with pytest.raises(SolverStall):
             local.solve(np.zeros(2), lam)
@@ -310,3 +312,36 @@ def test_non_finite_rg_profile_rejected(reference_model):
 def test_wrong_shape_rg_profile_rejected(reference_model):
     with pytest.raises(LengthMismatch, match="u1"):
         run_codes(reference_model, {"u1": np.ones(1)})
+
+
+def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorable_rg):
+    """Each user's cleanup and rebalance LPs are assembled once, not per
+    call, and every reuse answers exactly as a freshly built LP would."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return _storage_lp(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "_storage_lp", counting)
+    solves = []
+    for name in ("min_throughput", "social_response"):
+        def record(self, *args, _real=getattr(_UserLocal, name), _name=name):
+            args = [np.copy(a) for a in args]
+            out = _real(self, *args)
+            solves.append((_name, self, args, out))
+            return out
+        monkeypatch.setattr(_UserLocal, name, record)
+
+    run_codes(reference_model, favorable_rg)
+    n_active = sum(u.is_active for u in reference_model.users)
+    assert len(built) <= 2 * n_active
+    names = [name for name, *_ in solves]
+    assert names.count("min_throughput") == n_active and "social_response" in names
+
+    monkeypatch.undo()
+    p_max = reference_model.grid.p_g_max
+    for name, local, args, (discharge, charge) in solves:
+        fresh = _UserLocal(local.desd, local.T, local.dt, p_max)
+        d2, c2 = getattr(fresh, name)(*args)
+        assert np.array_equal(discharge, d2) and np.array_equal(charge, c2)

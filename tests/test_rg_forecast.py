@@ -71,6 +71,14 @@ def test_negative_generation_rejected():
         classify_scenarios(-np.ones((5, 4)), "pv")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_generation_rejected(bad):
+    profiles = np.ones((5, 4))
+    profiles[2, 1] = bad
+    with pytest.raises(InvariantViolation, match="finite"):
+        classify_scenarios(profiles, "pv")
+
+
 # ---------------------------------------------------------------- predict
 
 def test_certain_forecast_single_scenario_returns_it():

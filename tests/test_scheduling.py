@@ -7,6 +7,7 @@ side shows up.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          trading_cost, validate_model)
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
-from gridbargain.scheduling import FEAS_TOL
+from gridbargain.scheduling import FEAS_TOL, _storage_lp
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
 
@@ -418,3 +419,71 @@ def test_price_scaling_scales_costs():
 
 def test_feas_tol_is_tight():
     assert FEAS_TOL == 1e-6
+
+
+# ---------------------------------------------------------------- LP assembly
+
+_BATTERIES = (
+    DesdParams(e0=2.0, e_min=0.5, e_max=10.0, p_b_max=3.0, kappa=0.91),
+    DesdParams(e0=0.0, e_min=0.0, e_max=4.0, p_b_max=1.5, kappa=0.88),
+    DesdParams(e0=6.0, e_min=1.0, e_max=13.0, p_b_max=4.2, kappa=1.0),
+)
+
+
+def _dense_storage_lp(ports, T, dt, refill_terminal):
+    """The storage LP laid out densely: a lower-triangular block per battery."""
+    n = 2 * T * len(ports)
+    L = np.tril(np.ones((T, T)))
+    blocks, rhs = [], []
+    for k, (_, desd) in enumerate(ports):
+        if desd is None:
+            continue
+        drain = np.hstack([L / desd.kappa, -desd.kappa * L]) * dt
+        rows = np.vstack([drain, -drain] + ([drain[-1:]] if refill_terminal else []))
+        block = np.zeros((rows.shape[0], n))
+        block[:, 2 * T * k:2 * T * (k + 1)] = rows
+        blocks.append(block)
+        rhs += [np.full(T, desd.e0 - desd.e_min), np.full(T, desd.e_max - desd.e0)]
+        rhs += [np.zeros(1)] if refill_terminal else []
+    return (np.vstack(blocks) if blocks else None, np.concatenate(rhs) if rhs else None,
+            np.hstack([np.eye(T), -np.eye(T)] * len(ports)))
+
+
+@pytest.mark.parametrize("refill_terminal", [False, True])
+@pytest.mark.parametrize("layout", ["pooled", "solo", "cleanup", "rebalance"])
+def test_storage_lp_is_the_dense_layout(layout, refill_terminal):
+    T, dt = 7, 0.3  # not a power of two, so the order of the scalings shows
+    grid = (12.0, None)
+    batteries = [(d.p_b_max, d) for d in _BATTERIES]
+    ports = {"pooled": [grid] + batteries, "solo": [grid, batteries[0]],
+             "cleanup": [batteries[1]], "rebalance": [batteries[1], grid]}[layout]
+    lp = _storage_lp(ports, T, dt, refill_terminal)
+    A_ub, b_ub, A_eq = _dense_storage_lp(ports, T, dt, refill_terminal)
+    for got, want in ((lp["A_ub"], A_ub), (lp["A_eq"], A_eq)):
+        assert np.array_equal(got.toarray(), want)
+        assert np.all(got.data != 0.0)  # no explicit zeros stored
+        assert got.nnz == np.count_nonzero(want)
+    assert np.array_equal(lp["b_ub"], b_ub)
+    caps = np.repeat([cap for cap, _ in ports], 2 * T)
+    assert np.array_equal(lp["bounds"], np.column_stack([np.zeros_like(caps), caps]))
+
+
+def test_storage_lp_without_batteries():
+    lp = _storage_lp([(5.0, None)], 4, 1.0)
+    assert lp["A_ub"] is None and lp["b_ub"] is None
+    assert np.array_equal(lp["A_eq"].toarray(), np.hstack([np.eye(4), -np.eye(4)]))
+
+
+def test_pooled_lp_assembly_memory():
+    """60 batteries at T=96: ~1.1 GB as dense blocks, O(T^2) nonzeros each here."""
+    T, n_active = 96, 60
+    ports = [(200.0, None)] + [(d.p_b_max, d) for d in _BATTERIES * 20]
+    tracemalloc.start()
+    try:
+        lp = _storage_lp(ports, T, 0.25, refill_terminal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lp["A_ub"].shape == (n_active * (2 * T + 1), 2 * T * (n_active + 1))
+    assert lp["A_ub"].nnz == n_active * (2 * T * (T + 1) + 2 * T)
+    assert peak < 50e6
