@@ -288,8 +288,6 @@ def cmd_region(args):
     r = d.shape[0]
     honest = _parse_honest(args.honest) if args.honest is not None else (
         config.mc_honest if config else ())
-    if any(i > r for i in honest):
-        raise InvariantViolation([f"--honest positions must be within 1..{r}"])
     samples = args.samples if args.samples is not None else (
         (config.mc_samples if config else 0) or 1_000_000)
     seed = args.seed if args.seed is not None else (config.mc_seed if config else 0)

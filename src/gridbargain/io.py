@@ -289,6 +289,8 @@ def load_experiment(path):
 
     mc = raw.get("monte_carlo") or {}
     mc_samples = int(mc.get("samples", 0))
+    if mc_samples < 0:
+        problems.append(f"monte_carlo.samples must be >= 0, got {mc_samples}")
     mc_honest = tuple(int(i) for i in mc.get("honest", ()))
     if any(i < 1 for i in mc_honest):
         problems.append("monte_carlo.honest uses 1-based user positions")

@@ -19,6 +19,9 @@ cost profile looked up on the previous SOC trajectory, re-lookup,
 repeat until the true cost moves less than CONVERGED_DELTA_CENTS (at
 most MAX_OUTER linearizations).
 
+A membership without a battery needs no solver: balance forces its grid
+exchange, and the cheapest one has a closed form (``_forced_exchange``).
+
 Every storage LP in the package, the distributed solver's cleanup and
 rebalance programs included, is laid out by ``_storage_lp`` from an
 ordered list of ports: the grid, or one battery with its SOC rows. The
@@ -248,15 +251,35 @@ def _costed(active, grid_buy, grid_sell, discharge, charge, prices, dt, outer=1)
     )
 
 
+def _forced_exchange(net, prices, p_g_max, what):
+    """Optimal grid buy and sell of users without a battery, in closed form.
+
+    Balance fixes buy - sell = net at every step, so a step costs
+    buy * (p_b - p_s) + net * p_s: the least buy the rating allows where
+    selling pays less than buying (only the net is traded), the most
+    where it pays as much or more (sell all the rating allows).
+    """
+    if np.any(np.abs(net) > p_g_max):
+        raise Infeasible(f"{what}: net demand exceeds the grid rating of {p_g_max:g} kW")
+    buy, sell = np.maximum(net, 0.0), np.maximum(-net, 0.0)
+    most = prices.sell >= prices.buy
+    buy[most] = np.minimum(p_g_max, p_g_max + net[most])
+    sell[most] = np.minimum(p_g_max, p_g_max - net[most])
+    return buy, sell
+
+
 def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
     """Minimum-cost schedule of ``users`` sharing one grid connection.
 
     ``net`` is their demand minus generation. The grid is the first
     port, each active user's battery the next, in model order. The unit
     degradation costs start from the initial SOC and get re-looked-up on
-    the achieved trajectory until the true cost settles.
+    the achieved trajectory until the true cost settles. Without a
+    battery the LP has a closed-form optimum and HiGHS is not called.
     """
     active = [u for u in users if u.is_active]
+    if not active:
+        return _costed([], *_forced_exchange(net, prices, p_g_max, what), {}, {}, prices, dt)
     lp = _linprog_input(_storage_lp(
         [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active], T, dt, refill_terminal))
     unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
@@ -317,7 +340,7 @@ def solve_individual(user, demand, prices, grid, horizon, rg_profile=None,
     """Minimum-cost schedule for one user facing the tariff alone.
 
     This is the pooled problem with the user as its only member. A
-    passive user reduces to the forced purchase of its demand. The
+    passive user reduces to the forced exchange of its net demand. The
     returned ``cost`` is the user's ideal cost D_i (trading plus
     degradation); negative values are net profit from exports.
     """

@@ -5,14 +5,18 @@ reference cases; interval endpoints and per-user gains were computed by
 the direct predicate/term-evaluation oracles repeated inline here.
 """
 
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gridbargain import (BargainingFailed, Interval, NegativeGamma, ZeroIdealCost,
-                         adjusted_allocation, allocate, dishonest_benefit,
+from gridbargain import (BargainingFailed, Interval, InvariantViolation, NegativeGamma,
+                         ZeroIdealCost, adjusted_allocation, allocate, dishonest_benefit,
                          gamma_solo_bound, manipulation_interval, region_probabilities,
                          resilience_report, selfish_cost)
-from gridbargain.bargaining import PREDICATES
+from gridbargain.bargaining import _MC_BLOCK, _MC_CHUNK, PREDICATES, _region_counts
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
 
 FAV = REFERENCE_FAVORABLE
@@ -260,6 +264,166 @@ def test_region_deterministic_and_block_invariant():
     assert a == b
     c = region_probabilities(FAV.d, FAV.eps0, {1}, n_samples=200_000, seed=43)
     assert a["bargaining_fails"].probability != c["bargaining_fails"].probability
+
+
+# the whole-block tally the chunked, screened kernel must reproduce bit
+# for bit, frozen as it stood before the kernel was rewritten
+
+def _vec(x):
+    return np.asarray(x, dtype=float)
+
+
+def _region_counts_whole_block(d, eps0, honest, n_samples, seed, gamma_high):
+    d = _vec(d)
+    r = d.shape[0]
+    honest = frozenset(honest)
+    dishonest = np.array([i for i in range(r) if i not in honest], dtype=int)
+    budget = r * float(eps0)
+
+    counts = dict.fromkeys(PREDICATES, 0)
+    if dishonest.size == 0:
+        # Nobody lies: the bargain holds, and universal dishonest profit
+        # is vacuously impossible.
+        counts["succeeds_some_lose"] = n_samples
+        return counts
+
+    mags = np.abs(d[dishonest])
+    done = 0
+    block_idx = 0
+    while done < n_samples:
+        m = min(_MC_BLOCK, n_samples - done)
+        rng = np.random.Generator(np.random.Philox(key=[int(seed), block_idx]))
+        y = rng.uniform(0.0, gamma_high, size=(m, dishonest.size)) * mags
+        r_tot = y.sum(axis=1)
+        success = r_tot <= budget
+        all_profit = success & np.all(y * r > r_tot[:, None], axis=1)
+        counts["bargaining_fails"] += int(np.count_nonzero(~success))
+        counts["all_dishonest_profit"] += int(np.count_nonzero(all_profit))
+        counts["succeeds_some_lose"] += int(np.count_nonzero(success & ~all_profit))
+        done += m
+        block_idx += 1
+    return counts
+
+
+# shipped experiment: ideal costs, truthful discount, user 1 honest
+SHIPPED_D = np.array([-116.57969148004392, 247.90535, -258.12201292596217,
+                      -127.37826346238587])
+SHIPPED_EPS0 = 12.92411160647032
+
+# budget as a share of the largest possible understatement total
+_SHARES = {"almost_none": 0.05, "half": 0.5, "all": 1.01}
+
+
+def _case(k, share, gamma_high, seed):
+    """k dishonest users (some with D_i = 0) behind two honest ones."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-300.0, 300.0, k + 2)
+    d[rng.random(k + 2) < 0.15] = 0.0
+    mags = np.abs(d[2:])
+    return d, share * gamma_high * mags.sum() / d.size
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+@pytest.mark.parametrize("share", sorted(_SHARES))
+def test_region_counts_match_whole_block(k, share):
+    gamma_high = (0.3, 1.0, 2.5)[k % 3]
+    d, eps0 = _case(k, _SHARES[share], gamma_high, seed=k)
+    n = 3 * _MC_CHUNK + 17
+    got = _region_counts(d, eps0, {0, 1}, n, 11 + k, gamma_high)
+    assert got == _region_counts_whole_block(d, eps0, {0, 1}, n, 11 + k, gamma_high)
+    assert sum(got.values()) == n
+
+
+@pytest.mark.parametrize("n", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
+                               _MC_BLOCK - 1, _MC_BLOCK + 1, 2_300_000])
+def test_region_counts_match_whole_block_across_sizes(n):
+    for share in ("half", "all"):
+        d, eps0 = _case(9, _SHARES[share], 1.0, seed=n)
+        assert (_region_counts(d, eps0, {0, 1}, n, 3, 1.0)
+                == _region_counts_whole_block(d, eps0, {0, 1}, n, 3, 1.0))
+
+
+@pytest.mark.parametrize("eps0", [-1.0, 0.0, SHIPPED_EPS0])
+def test_region_counts_match_whole_block_edge_budgets(eps0):
+    for honest in ((), (0,), (0, 1, 2, 3)):
+        assert (_region_counts(SHIPPED_D, eps0, honest, 40_000, 8, 1.0)
+                == _region_counts_whole_block(SHIPPED_D, eps0, honest, 40_000, 8, 1.0))
+
+
+@pytest.mark.parametrize("k, zeros, seed", [(1, 0, 0), (3, 2, 1), (3, 0, 2), (7, 0, 3),
+                                            (8, 0, 4), (9, 1, 5), (11, 0, 6), (13, 0, 7),
+                                            (16, 0, 8), (16, 3, 9)])
+def test_region_counts_match_whole_block_on_the_boundary(k, zeros, seed):
+    """The budget is the row sum of one draw, so summation order decides that draw."""
+    rng = np.random.default_rng(seed)
+    r = 8 if k <= 8 else 16  # r * (budget / r) == budget exactly
+    d = rng.uniform(-300.0, 300.0, r)
+    d[1:1 + zeros] = 0.0  # with every other term zero, the sum is one term
+    honest = set(range(k, r))
+    mags = np.abs(d[:k])
+    draws = np.random.Generator(np.random.Philox(key=[seed, 0])).uniform(0.0, 1.0, (8, k))
+    for row_sum in (draws * mags).sum(axis=1):
+        eps0 = row_sum / r
+        assert (_region_counts(d, eps0, honest, 20_000, seed, 1.0)
+                == _region_counts_whole_block(d, eps0, honest, 20_000, seed, 1.0))
+
+
+def test_region_counts_golden_shipped():
+    got = _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+    assert got == {"all_dishonest_profit": 184, "bargaining_fails": 997172,
+                   "succeeds_some_lose": 2644}
+
+
+def _exact_failure_probability(d, eps0, honest, gamma_high=1.0):
+    """P(sum_i gamma_i |D_i| > r eps0) for gamma_i ~ U[0, gamma_high].
+
+    Inclusion-exclusion over the vertices of the box: the volume of
+    {u in [0, 1]^k : sum a_i u_i <= B} is
+    sum_S (-1)^|S| (B - sum_S a_i)_+^k / (k! prod a_i).
+    """
+    d = _vec(d)
+    budget = d.size * float(eps0)
+    a = [gamma_high * abs(d[i]) for i in range(d.size) if i not in honest and d[i] != 0.0]
+    terms = [(-1) ** len(S) * max(budget - sum(S), 0.0) ** len(a)
+             for n in range(len(a) + 1) for S in itertools.combinations(a, n)]
+    return 1.0 - math.fsum(terms) / (math.factorial(len(a)) * math.prod(a))
+
+
+@pytest.mark.parametrize("d, eps0, honest", [
+    (SHIPPED_D, SHIPPED_EPS0, {0}),
+    (FAV.d, FAV.eps0, {0}),
+    (FAV.d, FAV.eps0, {1}),
+    (FAV.d, FAV.eps0, {2, 3}),
+    (FAV.d, FAV.eps0, set()),
+])
+def test_failure_probability_matches_inclusion_exclusion(d, eps0, honest):
+    mc = region_probabilities(d, eps0, honest, n_samples=1_000_000, seed=5)
+    exact = _exact_failure_probability(d, eps0, honest)
+    fails = mc["bargaining_fails"]
+    assert abs(fails.probability - exact) <= 4 * max(fails.stderr, 1e-6)
+
+
+def test_region_counts_memory_is_chunk_sized():
+    tracemalloc.start()
+    try:
+        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # a whole-block pass holds several 24 MB arrays
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"n_samples": 0}, InvariantViolation),
+    ({"n_samples": -5}, InvariantViolation),
+    ({"honest": {4}}, InvariantViolation),
+    ({"honest": {-1}}, InvariantViolation),
+    ({"gamma_high": -0.5}, NegativeGamma),
+])
+def test_region_probabilities_rejects_bad_arguments(kwargs, error):
+    args = dict(d=FAV.d, eps0=FAV.eps0, honest={0}, n_samples=100)
+    with pytest.raises(error):
+        region_probabilities(**dict(args, **kwargs))
 
 
 def test_predicate_names_stable():

@@ -141,6 +141,7 @@ def test_bargain_reference_columns(tmp_path):
                                [-76.16, 466.36, 86.65, -38.16], atol=0.01)
     assert rep["resilience"]["eps0"] == pytest.approx(14.8275, abs=1e-3)
     assert rep["resilience"]["success"] is True
+    assert "regions" not in rep["resilience"]  # --samples 0 skips the region study
 
 
 def test_bargain_gamma_sweep_csv(tmp_path):
@@ -212,6 +213,29 @@ def test_exit_2_bad_flag_values(tmp_path):
                      "--honest", "0", "--out", out]) == 2
     assert cli.main(["region", "--d-vector", "1,2", "--jsoc", "3",
                      "--honest", "5", "--samples", "10", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--samples", "0"],
+    ["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--samples", "-5"],
+    ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--samples", "-3"],
+    ["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
+    ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
+])
+def test_exit_2_bad_monte_carlo_flags(tmp_path, argv):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["report", "bargain", "region"])
+@pytest.mark.parametrize("monte_carlo", [{"samples": -10, "honest": [1]},
+                                         {"samples": 100, "honest": [9]}])
+def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
+    cfg = _experiment(tmp_path, monte_carlo=monte_carlo)
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 2
+    assert not any(out.glob("*.json"))
 
 
 def test_exit_2_bad_codes_override(tmp_path):

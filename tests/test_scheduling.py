@@ -21,7 +21,8 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          trading_cost, validate_model)
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
-from gridbargain.scheduling import FEAS_TOL, _storage_lp
+from gridbargain.scheduling import (FEAS_TOL, _forced_exchange, _linprog_input, _solve_lp,
+                                    _storage_lp)
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
 
@@ -218,6 +219,40 @@ def test_individual_passive_is_forced_purchase(rng):
                            Horizon(steps=6, dt=1.0))
     assert out.cost == pytest.approx(float(prices.buy @ d), abs=1e-9)
     assert out.decision.discharge is None and out.soc is None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_forced_exchange_is_the_passive_lp_optimum(seed):
+    rng = np.random.default_rng(seed)
+    T, p_g_max, dt = int(rng.integers(1, 30)), float(rng.uniform(1.0, 10.0)), 0.25
+    net = rng.uniform(-p_g_max, p_g_max, T)
+    net[rng.random(T) < 0.15] = 0.0
+    net[rng.random(T) < 0.15] = p_g_max * rng.choice([-1.0, 1.0])
+    buy = rng.uniform(1.0, 20.0, T)
+    sell = buy * rng.uniform(0.2, 1.5, T)  # selling pays more at about a third of the steps
+    tie = rng.random(T) < 0.1
+    sell[tie] = buy[tie]
+    prices = PriceProfile(buy=buy, sell=sell)
+    x = _solve_lp(np.concatenate([buy, -sell]) * dt,
+                  _linprog_input(_storage_lp([(p_g_max, None)], T, dt)), net, "oracle")
+    got_buy, got_sell = _forced_exchange(net, prices, p_g_max, "closed form")
+    assert trading_cost(prices, got_buy, got_sell, dt) == pytest.approx(
+        trading_cost(prices, x[:T], x[T:], dt), abs=1e-9)
+    # the optimum is unique wherever buying and selling prices differ
+    np.testing.assert_array_equal(got_buy[~tie], x[:T][~tie])
+    np.testing.assert_array_equal(got_sell[~tie], x[T:][~tie])
+    assert np.all(np.abs(got_buy - got_sell - net) <= FEAS_TOL)
+    assert min(got_buy.min(), got_sell.min()) >= 0.0
+    assert max(got_buy.max(), got_sell.max()) <= p_g_max
+
+
+def test_forced_exchange_infeasible_like_the_lp():
+    net = np.array([1.0, -2.5, 0.0])
+    lp = _linprog_input(_storage_lp([(2.0, None)], 3, 1.0))
+    with pytest.raises(Infeasible):
+        _solve_lp(np.concatenate([FLAT3.buy, -FLAT3.sell]), lp, net, "oracle")
+    with pytest.raises(Infeasible):
+        _forced_exchange(net, FLAT3, 2.0, "closed form")
 
 
 def test_individual_flat_prices_battery_idles():
