@@ -9,8 +9,8 @@ the Monte Carlo picture when everyone else lies at random.
 
 import numpy as np
 
-from gridbargain import (adjusted_allocation, dishonest_benefit,
-                         gamma_solo_bound, manipulation_interval)
+from gridbargain import (allocate, dishonest_benefit, gamma_solo_bound,
+                         manipulation_interval, selfish_cost)
 from gridbargain.bargaining import PREDICATES, region_probabilities
 from gridbargain.fixtures import REFERENCE_FAVORABLE
 
@@ -27,7 +27,7 @@ def main():
         print(f"  u{i + 1}: {gamma_solo_bound(d, eps0, i):.4f}")
 
     gamma = np.array([0.0, 0.05, 0.05, 0.0])
-    res = adjusted_allocation(d, gamma, case.j_soc)
+    res = allocate(selfish_cost(d, gamma), case.j_soc)
     print(f"\nwith u2 and u3 each shaving 5%: discount drops "
           f"{eps0:.4f} -> {res.epsilon:.4f} c, deal "
           f"{'survives' if res.success else 'collapses'}")

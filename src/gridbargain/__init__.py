@@ -8,8 +8,8 @@ that splits the cooperative surplus and quantifies how much selfish
 cost misreporting the scheme survives.
 """
 
-from .bargaining import (AllocationResult, Interval, RegionProbability, adjusted_allocation,
-                         allocate, dishonest_benefit, gamma_solo_bound, manipulation_interval,
+from .bargaining import (AllocationResult, Interval, RegionProbability, allocate,
+                         dishonest_benefit, gamma_solo_bound, manipulation_interval,
                          region_probabilities, resilience_report, selfish_cost)
 from .codes import (CodesConfig, CodesRun, RoundMessage, convergence_trace,
                     dump_message_log, run_codes)

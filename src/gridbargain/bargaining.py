@@ -30,7 +30,6 @@ __all__ = [
     "RegionProbability",
     "selfish_cost",
     "allocate",
-    "adjusted_allocation",
     "gamma_solo_bound",
     "manipulation_interval",
     "dishonest_benefit",
@@ -84,25 +83,6 @@ def allocate(s, j_soc):
     return AllocationResult(
         j=s - epsilon, epsilon=epsilon, success=epsilon >= -SUCCESS_TOL,
         j_soc=float(j_soc), s=s,
-    )
-
-
-def adjusted_allocation(d, gamma, j_soc):
-    """Allocation under selfish declarations, from the ideal-cost algebra.
-
-    J_i = D_i - gamma_i |D_i| - (r eps0 - R_tot)/r with eps0 the truthful
-    discount and R_tot the total understatement; agrees with
-    allocate(selfish_cost(d, gamma), j_soc) to rounding.
-    """
-    d = _vec(d)
-    r = d.shape[0]
-    claims = selfish_cost(d, gamma)  # also validates gamma
-    r_tot = float(np.sum(_vec(gamma) * np.abs(d)))
-    eps0 = (float(d.sum()) - float(j_soc)) / r
-    epsilon = (r * eps0 - r_tot) / r
-    return AllocationResult(
-        j=d - _vec(gamma) * np.abs(d) - epsilon, epsilon=epsilon,
-        success=r_tot <= r * eps0 + r * SUCCESS_TOL, j_soc=float(j_soc), s=claims,
     )
 
 
@@ -249,18 +229,23 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     return counts
 
 
+def _honest_indices(honest, r):
+    """``honest`` as a set of 0-based user indices, each within 0..r-1."""
+    honest = frozenset(honest)
+    outside = sorted(i for i in honest if not 0 <= i < r)
+    if outside:
+        raise InvariantViolation(
+            f"honest user indices {outside} (0-based) are outside the {r} users")
+    return honest
+
+
 def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
     """All three region probabilities from one sampling pass.
 
     ``honest`` holds 0-based user indices; the sample count must be
     positive and ``gamma_high`` non-negative.
     """
-    r = _vec(d).shape[0]
-    honest = frozenset(honest)
-    outside = sorted(i for i in honest if not 0 <= i < r)
-    if outside:
-        raise InvariantViolation(
-            f"honest user indices {outside} (0-based) are outside the {r} users")
+    honest = _honest_indices(honest, _vec(d).shape[0])
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvariantViolation(f"the Monte Carlo needs at least one sample, got {n_samples}")
@@ -283,16 +268,16 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     Includes per-user solo bounds and profit intervals at the supplied
     gamma, the understatement totals against the surplus budget, and
     (when mc_samples > 0) the Monte Carlo region probabilities with
-    gamma = 0 pinned for ``honest`` users.
+    gamma = 0 pinned for ``honest`` users, whose 0-based indices are
+    checked whether or not the Monte Carlo runs.
     """
     d = _vec(d)
     r = d.shape[0]
     gamma = np.zeros(r) if gamma is None else _vec(gamma)
-    if np.any(gamma < 0.0):
-        raise NegativeGamma("gamma must be >= 0")
+    honest = _honest_indices(honest or (), r)
     eps0 = (float(d.sum()) - float(j_soc)) / r
     r_tot = float(np.sum(gamma * np.abs(d)))
-    adjusted = adjusted_allocation(d, gamma, j_soc)
+    declared = allocate(selfish_cost(d, gamma), j_soc)  # also validates gamma
     n_dishonest = int(np.count_nonzero(gamma > 0.0))
 
     users = []
@@ -305,22 +290,20 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
             "understatement": float(gamma[i] * abs(d[i])),
             "solo_bound": None if zero else gamma_solo_bound(d, eps0, i),
             "profit_interval": None if zero else manipulation_interval(d, eps0, gamma, i),
-            "benefit": dishonest_benefit(d, gamma, i) if adjusted.success else None,
+            "benefit": dishonest_benefit(d, gamma, i) if declared.success else None,
         })
 
     report = {
         "eps0": eps0,
         "budget": r * eps0,
         "r_tot": r_tot,
-        "success": adjusted.success,
-        "epsilon": adjusted.epsilon,
+        "success": declared.success,
+        "epsilon": declared.epsilon,
         "n_dishonest": n_dishonest,
         "max_single_gain": eps0,
         "avg_gain_bound": eps0 / n_dishonest if n_dishonest else None,
         "users": users,
     }
     if mc_samples:
-        report["regions"] = region_probabilities(
-            d, eps0, honest or (), int(mc_samples), seed=seed
-        )
+        report["regions"] = region_probabilities(d, eps0, honest, int(mc_samples), seed=seed)
     return report

@@ -224,7 +224,7 @@ def _gamma_sweep_csv(out, d, j_soc, sweep):
         gamma = np.zeros(r)
         for pos, val in zip(users, combo):
             gamma[pos - 1] = val
-        res = bargaining.adjusted_allocation(d, gamma, j_soc)
+        res = bargaining.allocate(bargaining.selfish_cost(d, gamma), j_soc)
         rows.append(list(combo) + [float(res.success), res.epsilon])
     header = ",".join([f"gamma_{i}" for i in users] + ["success", "epsilon"])
     io.write_csv(os.path.join(out, "gamma_sweep.csv"), np.array(rows), header=header)

@@ -34,8 +34,8 @@ each user in turn re-solve against the true tariff together with the
 grid. A final per-user cleanup pass re-times each storage schedule at
 fixed net injection, which removes any simultaneous charge/discharge
 the averaging introduced. These two are the only LPs (HiGHS); both are
-the pooled LP of ``scheduling._storage_lp`` on fewer ports, built once
-per run for each user.
+the pooled LP of ``scheduling._storage_lp`` on fewer ports, with the
+state of charge as a column per step, built once per run for each user.
 
 The routine is deterministic for a given (model, config, seed); the
 seed only feeds the optional initial price jitter and is recorded.
@@ -53,8 +53,8 @@ from scipy.optimize import linprog
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
-from .scheduling import (SocialScheduleOutcome, _costed, _linprog_input, _rg_profiles,
-                         _storage_lp, trading_cost)
+from .scheduling import (SocialScheduleOutcome, _costed, _linprog_input, _lp_keywords,
+                         _rg_profiles, _storage_lp, trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -255,9 +255,9 @@ class _UserLocal:
     polytope. The per-round step and its value are ``_storage_dp`` in
     energy units: drain x = discharge dt / kappa, fill y = kappa charge
     dt. The cleanup and rebalance programs run rarely and stay LPs, on
-    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``;
-    both are built here, once, since the grid rating p_max is fixed for
-    the run.
+    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``
+    (the battery's energy columns follow the ports); both are built here,
+    once, since the grid rating p_max is fixed for the run.
     """
 
     def __init__(self, desd, T, dt, p_max):
@@ -290,22 +290,22 @@ class _UserLocal:
         """Cheapest schedule with the given net injection (cleanup pass)."""
         T = self.T
         c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
-        res = linprog(c, **self._cleanup, b_eq=net, method="highs")
+        res = linprog(**_lp_keywords(self._cleanup, c, net), method="highs")
         if res.status != 0:
             raise SolverStall(f"cleanup pass failed: {res.message}")
-        return res.x[:T], res.x[T:]
+        return res.x[:T], res.x[T:2 * T]
 
     def social_response(self, unit_cost, pb, ps, resid):
         """Best response against the true tariff with everyone else frozen.
 
         resid is the imbalance this user and the grid must cover
         together; the ports are this battery then the grid, so the
-        variables are [discharge, charge, grid buy, grid sell]. Returns
-        the user's schedule.
+        variables are [discharge, charge, grid buy, grid sell] and then
+        the battery's energy. Returns the user's schedule.
         """
         T = self.T
         c = np.concatenate([unit_cost + 1e-9, unit_cost + 1e-9, pb, ps * -1.0]) * self.dt
-        res = linprog(c, **self._rebalance, b_eq=resid, method="highs")
+        res = linprog(**_lp_keywords(self._rebalance, c, resid), method="highs")
         if res.status != 0:
             raise SolverStall(f"rebalance step failed: {res.message}")
         return res.x[:T], res.x[T:2 * T]

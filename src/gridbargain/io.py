@@ -66,10 +66,16 @@ def _must_exist(path):
     return path
 
 
+def _loadtxt(path, **kwargs):
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+    except ValueError as exc:
+        raise InvariantViolation([f"{path}: {exc}"])
+
+
 def read_matrix(path):
     """Plain numeric CSV as a 2-D float array (scenario pools)."""
-    arr = np.loadtxt(_must_exist(path), delimiter=",", ndmin=2, comments="#")
-    return arr
+    return _loadtxt(_must_exist(path), comments="#")
 
 
 def read_table(path):
@@ -77,7 +83,7 @@ def read_table(path):
     with open(_must_exist(path)) as fh:
         header = fh.readline().strip()
     cols = [c.strip() for c in header.split(",")]
-    arr = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+    arr = _loadtxt(path, skiprows=1)
     if arr.shape[1] != len(cols):
         raise InvariantViolation(
             [f"{path}: {len(cols)} header columns but {arr.shape[1]} data columns"])
@@ -115,14 +121,27 @@ def write_json(path, obj):
 
 def _load_yaml(path):
     with open(_must_exist(path)) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise FileError(path, "not valid YAML: " + " ".join(str(exc).split()))
     if not isinstance(raw, dict):
         raise InvariantViolation([f"{path}: top level must be a mapping"])
     return raw
 
 
-def _resolve(base, path):
+def _resolve(base, path, what):
+    if not isinstance(path, str):
+        raise InvariantViolation([f"{what} must be a file path, got {path!r}"])
     return path if os.path.isabs(path) else os.path.join(base, path)
+
+
+def _number(kind, value, what):
+    """``kind(value)`` for a field read from a file, or InvariantViolation."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvariantViolation([f"{what} must be a number, got {value!r}"])
 
 
 def _bdc_from(node, uid):
@@ -146,8 +165,9 @@ def _user_from(node):
         d = node["desd"]
         try:
             desd = DesdParams(
-                e0=float(d["e0"]), e_min=float(d["e_min"]), e_max=float(d["e_max"]),
-                p_b_max=float(d["p_b_max"]), kappa=float(d.get("kappa", 1.0)),
+                **{f: _number(float, d[f], f"user {uid}: desd.{f}")
+                   for f in ("e0", "e_min", "e_max", "p_b_max")},
+                kappa=_number(float, d.get("kappa", 1.0), f"user {uid}: desd.kappa"),
                 bdc=_bdc_from(d.get("bdc"), uid),
             )
         except KeyError as missing:
@@ -156,10 +176,9 @@ def _user_from(node):
     if node.get("rg") is not None:
         g = node["rg"]
         kind = g.get("kind")
-        if kind == "pv":
-            rg = Pv(size_kw=float(g["size_kw"]))
-        elif kind == "wt":
-            rg = Wt(size_kw=float(g["size_kw"]))
+        if kind in ("pv", "wt"):
+            rg = (Pv if kind == "pv" else Wt)(
+                size_kw=_number(float, g.get("size_kw"), f"user {uid}: rg.size_kw"))
         else:
             raise KindMismatch(f"user {uid}: rg kind must be 'pv' or 'wt', got {kind!r}")
     return UserSpec(id=uid, desd=desd, rg=rg)
@@ -196,18 +215,19 @@ def load_model(path):
     for key in ("horizon", "users", "prices", "demands"):
         if key not in raw:
             raise InvariantViolation([f"{path}: missing section {key!r}"])
-    horizon = Horizon(steps=int(raw["horizon"]["steps"]),
-                      dt=float(raw["horizon"].get("dt", 1.0)))
+    horizon = Horizon(steps=_number(int, raw["horizon"]["steps"], "horizon.steps"),
+                      dt=_number(float, raw["horizon"].get("dt", 1.0), "horizon.dt"))
     users = tuple(_user_from(n) for n in raw["users"])
-    prices = load_prices(_resolve(base, raw["prices"]), horizon.steps)
-    demands = load_demands(_resolve(base, raw["demands"]),
+    prices = load_prices(_resolve(base, raw["prices"], "prices"), horizon.steps)
+    demands = load_demands(_resolve(base, raw["demands"], "demands"),
                            [u.id for u in users], horizon.steps)
     grid = None
     if raw.get("grid") is not None:
-        grid = GridLimits(p_g_max=float(raw["grid"]["p_g_max"]))
+        grid = GridLimits(p_g_max=_number(float, raw["grid"]["p_g_max"], "grid.p_g_max"))
     graph = None
     if raw.get("graph") is not None:
-        graph = tuple((int(a), int(b)) for a, b in raw["graph"])
+        graph = tuple((_number(int, a, "graph"), _number(int, b, "graph"))
+                      for a, b in raw["graph"])
     return validate_model(MicrogridModel(
         horizon=horizon, users=users, demands=demands, prices=prices,
         grid=grid, graph=graph,
@@ -246,13 +266,13 @@ def load_experiment(path):
 
     if "model" not in raw:
         raise InvariantViolation([f"{path}: missing 'model' entry"])
-    model_path = _resolve(base, raw["model"])
+    model_path = _resolve(base, raw["model"], "model")
     if not os.path.isfile(model_path):
         raise FileError(model_path)
 
     scenario_files = {}
     for uid, node in (raw.get("scenarios") or {}).items():
-        f = _resolve(base, node["file"])
+        f = _resolve(base, node["file"], f"scenario {uid}: file")
         if not os.path.isfile(f):
             raise FileError(f)
         kind = node.get("kind")
@@ -271,7 +291,7 @@ def load_experiment(path):
 
     gamma = None
     if raw.get("gamma") is not None:
-        gamma = np.asarray(raw["gamma"], dtype=float)
+        gamma = np.array([_number(float, g, "gamma") for g in raw["gamma"]])
         if not np.all(np.isfinite(gamma)):
             problems.append("gamma entries must be finite")
         elif np.any(gamma < 0.0):
@@ -288,25 +308,26 @@ def load_experiment(path):
         problems.append(f"solver must be one of {SOLVERS}, got {solver!r}")
 
     mc = raw.get("monte_carlo") or {}
-    mc_samples = int(mc.get("samples", 0))
+    mc_samples = _number(int, mc.get("samples", 0), "monte_carlo.samples")
     if mc_samples < 0:
         problems.append(f"monte_carlo.samples must be >= 0, got {mc_samples}")
-    mc_honest = tuple(int(i) for i in mc.get("honest", ()))
+    mc_honest = tuple(_number(int, i, "monte_carlo.honest") for i in mc.get("honest", ()))
     if any(i < 1 for i in mc_honest):
         problems.append("monte_carlo.honest uses 1-based user positions")
 
     if problems:
         raise InvariantViolation(problems)
 
+    seed = _number(int, raw.get("seed", 0), "seed")
     return ExperimentConfig(
         path=os.path.abspath(path), model_path=model_path,
         scenario_files=scenario_files, forecast=forecast, weights=weights,
-        seed=int(raw.get("seed", 0)), gamma=gamma, gamma_sweep=sweep,
+        seed=seed, gamma=gamma, gamma_sweep=sweep,
         solver=solver, codes_overrides=dict(raw.get("codes") or {}),
         consensus_overrides=dict(raw.get("consensus") or {}),
         mc_samples=mc_samples, mc_honest=mc_honest,
-        mc_seed=int(mc.get("seed", raw.get("seed", 0))),
-        out_dir=_resolve(base, raw["out_dir"]) if raw.get("out_dir") else None,
+        mc_seed=_number(int, mc.get("seed", seed), "monte_carlo.seed"),
+        out_dir=_resolve(base, raw["out_dir"], "out_dir") if raw.get("out_dir") else None,
     )
 
 

@@ -24,12 +24,13 @@ exchange, and the cheapest one has a closed form (``_forced_exchange``).
 
 Every storage LP in the package, the distributed solver's cleanup and
 rebalance programs included, is laid out by ``_storage_lp`` from an
-ordered list of ports: the grid, or one battery with its SOC rows. The
-constraint matrices are sparse, built once per run straight from index
-arrays: O(T^2) nonzeros per battery, where a dense layout would hold
-O((T * batteries)^2) entries. LPs small enough that scipy takes dense
-input faster, such as a solo LP at T=24, reach ``linprog`` dense; HiGHS
-receives the same matrix either way.
+ordered list of ports: the grid, or one battery. Each battery's state
+of charge is a column per step, tied to the previous step's by an
+equality row, so the LP has equality rows only and its sparse matrix,
+built once per run straight from index arrays, holds O(T) nonzeros per
+battery. LPs small enough that scipy takes dense input faster, such as
+a solo LP at T=24, reach ``linprog`` dense; HiGHS receives the same
+matrix either way.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -125,92 +126,86 @@ class IndividualOutcome:
     soc: np.ndarray | None
 
 
-def _soc_pattern(T, refill_terminal):
-    """Where one battery's SOC rows keep their nonzeros, in CSR order.
-
-    Row t bounds the cumulative drain up to step t from above and row
-    T + t from below, drain(s) = (discharge_s/kappa - kappa*charge_s)*dt;
-    with ``refill_terminal`` a last row keeps the end-of-day energy no
-    lower than e0. Returns the number of entries in each row, each
-    entry's column among the battery's (discharge, charge) columns, and
-    which coefficient it holds: 0 for dt/kappa, 1 for -kappa*dt, 2 and 3
-    for their negatives.
-    """
-    t, s = np.tril_indices(T)
-    order = np.argsort(np.concatenate([t, t]), kind="stable")  # discharge, then charge
-    drain_cols = np.concatenate([s, T + s])[order]
-    drain_coef = np.repeat([0, 1], t.size)[order]
-    cols, coef = [drain_cols, drain_cols], [drain_coef, drain_coef + 2]
-    counts = [np.arange(2, 2 * T + 1, 2)] * 2
-    if refill_terminal:
-        cols.append(np.arange(2 * T))
-        coef.append(np.repeat([0, 1], T))
-        counts.append([2 * T])
-    return np.concatenate(counts), np.concatenate(cols).astype(np.int32), np.concatenate(coef)
-
-
 def _storage_lp(ports, T, dt, refill_terminal=False):
-    """Constraint keywords for ``linprog`` over an ordered list of ports.
+    """One storage LP over an ordered list of ports, equality rows only.
 
     A port is (cap, desd): T columns of power into the bus, then T of
     power out of it, each in [0, cap]. The grid is a port without a
     device (buy, sell); a battery is one with its DesdParams (discharge,
-    charge) and adds its SOC rows. The T balance rows sum every port's
-    net injection; the caller supplies b_eq. Both matrices are sparse
-    and store only their nonzeros, O(T^2) per battery.
+    charge). After all port columns, each battery keeps its state: T
+    columns E_t in [e_min, e_max], the energy after step t, and a row
+    per step, E_t - E_{t-1} + (discharge_t/kappa - kappa*charge_t)*dt = 0
+    with E_0 = e0 on the right-hand side. ``refill_terminal`` raises the
+    lower bound of E_T to e0. Rows go step by step, each step's battery
+    rows and then its bus balance row, whose right-hand side
+    ``_lp_keywords`` fills in; of the orders tried, this one most often
+    leads HiGHS to the vertex the cumulative SOC rows led it to. The
+    matrix is sparse: one entry per port column and 4T - 1 more per
+    battery.
     """
-    n = 2 * T * len(ports)
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = np.repeat([float(cap) for cap, _ in ports], 2 * T)
-    # each column of A_eq holds one +1 (into the bus) or -1 (out of it)
-    A_eq = sparse.csc_array((np.tile(np.repeat([1.0, -1.0], T), len(ports)),
-                             np.tile(np.arange(T, dtype=np.int32), 2 * len(ports)),
-                             np.arange(n + 1, dtype=np.int32)), shape=(T, n))
-    batteries = [(k, desd) for k, (_, desd) in enumerate(ports) if desd is not None]
-    if not batteries:
-        return {"A_ub": None, "b_ub": None, "A_eq": A_eq, "bounds": bounds}
-
-    # every battery's rows share one pattern, shifted to its port's columns
-    counts, cols, coef = _soc_pattern(T, refill_terminal)
-    drain = np.array([[1.0 / d.kappa * dt, -d.kappa * dt] for _, d in batteries])
-    values = np.hstack([drain, -drain])[:, coef]  # one row of values per battery
-    first_col = np.array([2 * T * k for k, _ in batteries], dtype=np.int32)
-    A_ub = sparse.csr_array(
-        (values.ravel(), (cols + first_col[:, None]).ravel(),
-         np.concatenate([[0], np.cumsum(np.tile(counts, len(batteries)))]).astype(np.int32)),
-        shape=(len(batteries) * counts.size, n))
-    b_ub = np.concatenate([np.repeat([d.e0 - d.e_min, d.e_max - d.e0, 0.0],
-                                     [T, T, int(refill_terminal)]) for _, d in batteries])
-    return {"A_ub": A_ub, "b_ub": b_ub, "A_eq": A_eq, "bounds": bounds}
+    batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
+    n_ports, stride = 2 * T * len(ports), len(batteries) + 1
+    t = np.arange(T)
+    rows, cols = [np.tile(stride * t + stride - 1, 2 * len(ports))], [np.arange(n_ports)]
+    vals = [np.tile(np.repeat([1.0, -1.0], T), len(ports))]
+    b_eq = np.zeros(stride * T)
+    bounds = np.zeros((n_ports + T * len(batteries), 2))
+    bounds[:n_ports, 1] = np.repeat([float(cap) for cap, _ in ports], 2 * T)
+    for b, (k, d) in enumerate(batteries):
+        soc, energy = stride * t + b, n_ports + T * b + t  # its rows, its E columns
+        rows += [soc, soc, soc, soc[1:]]
+        cols += [2 * T * k + t, 2 * T * k + T + t, energy, energy[:-1]]
+        vals += [np.full(T, 1.0 / d.kappa * dt), np.full(T, -d.kappa * dt),
+                 np.ones(T), -np.ones(T - 1)]
+        b_eq[soc[0]] = d.e0
+        bounds[energy] = d.e_min, d.e_max
+        if refill_terminal:
+            bounds[energy[-1], 0] = d.e0
+    A_eq = sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(b_eq.size, bounds.shape[0]))
+    return {"A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
 
 
-# scipy's linprog spends a fixed ~0.5 ms on sparse input and ~20 ns per
-# matrix entry on dense input; on storage LPs the two cross between 28k
-# and 39k dense entries (2-core x86-64, scipy 1.17). HiGHS receives the
-# same CSC matrix either way.
-_DENSE_INPUT_MAX = 30_000
+def _lp_keywords(lp, c, bus):
+    """``linprog`` keywords for ``lp`` with port costs ``c`` and bus balance ``bus``.
+
+    The energy columns cost nothing; ``bus`` is the right-hand side of
+    the balance rows, the last row of each step.
+    """
+    b_eq = lp["b_eq"].copy()
+    stride = b_eq.size // len(bus)
+    b_eq[stride - 1::stride] = bus
+    c = np.concatenate([c, np.zeros(lp["bounds"].shape[0] - len(c))])
+    return {"c": c, "A_eq": lp["A_eq"], "b_eq": b_eq, "bounds": lp["bounds"]}
+
+
+# scipy's linprog spends a fixed ~0.4 ms more on sparse input and ~20 ns
+# per matrix entry on dense input; on state-form storage LPs the two
+# cross between 41k and 45k dense entries (paired in-process timings,
+# 2-core x86-64, scipy 1.17). HiGHS receives the same CSC matrix either way.
+_DENSE_INPUT_MAX = 40_000
 
 
 def _linprog_input(lp):
-    """``lp`` as handed to ``linprog``: its matrices dense when they are small."""
-    entries = sum(lp[k].shape[0] * lp[k].shape[1] for k in ("A_ub", "A_eq")
-                  if lp[k] is not None)
-    if entries > _DENSE_INPUT_MAX:
+    """``lp`` as handed to ``linprog``: its matrix dense when it is small."""
+    A = lp["A_eq"]
+    if A.shape[0] * A.shape[1] > _DENSE_INPUT_MAX:
         return lp
-    return {k: v.toarray() if sparse.issparse(v) else v for k, v in lp.items()}
+    return dict(lp, A_eq=A.toarray())
 
 
-def _solve_lp(c, lp, b_eq, what):
+def _solve_lp(c, lp, bus, what):
     """HiGHS on one storage LP; the answer is checked against its constraints."""
-    res = linprog(c, **lp, b_eq=b_eq, method="highs")
+    kw = _lp_keywords(lp, c, bus)
+    res = linprog(**kw, method="highs")
     if res.status == 2:
         raise Infeasible(f"{what}: {res.message}")
     if res.status != 0:
         raise SolverStall(f"{what}: {res.message}")
     x = res.x
-    resid = float(np.max(np.abs(lp["A_eq"] @ x - b_eq)))
+    resid = float(np.max(np.abs(kw["A_eq"] @ x - kw["b_eq"])))
     if resid > FEAS_TOL:
-        raise SolverStall(f"{what}: balance residual {resid:g} above {FEAS_TOL:g}")
+        raise SolverStall(f"{what}: equality residual {resid:g} above {FEAS_TOL:g}")
     lo, hi = lp["bounds"].T
     if np.any(x < lo - FEAS_TOL) or np.any(x > hi + FEAS_TOL):
         raise SolverStall(f"{what}: variable bound violated by more than {FEAS_TOL:g}")
@@ -295,7 +290,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
         )
         x = _solve_lp(c, lp, net, what)
 
-        dc = x[2 * T:].reshape(len(active), 2, T)  # (discharge, charge) per battery
+        dc = x[2 * T:2 * T * (len(active) + 1)].reshape(len(active), 2, T)  # (discharge, charge)
         out = _costed(active, x[:T], x[T:2 * T], {u.id: d for u, (d, _) in zip(active, dc)},
                       {u.id: ch for u, (_, ch) in zip(active, dc)}, prices, dt, outer)
         if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)

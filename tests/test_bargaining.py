@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from gridbargain import (BargainingFailed, Interval, InvariantViolation, NegativeGamma,
-                         ZeroIdealCost, adjusted_allocation, allocate, dishonest_benefit,
-                         gamma_solo_bound, manipulation_interval, region_probabilities,
-                         resilience_report, selfish_cost)
-from gridbargain.bargaining import _MC_BLOCK, _MC_CHUNK, PREDICATES, _region_counts
+                         ZeroIdealCost, allocate, dishonest_benefit, gamma_solo_bound,
+                         manipulation_interval, region_probabilities, resilience_report,
+                         selfish_cost)
+from gridbargain.bargaining import (_MC_BLOCK, _MC_CHUNK, PREDICATES, SUCCESS_TOL,
+                                    _region_counts)
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
 
 FAV = REFERENCE_FAVORABLE
@@ -77,20 +78,25 @@ def test_failure_still_reports():
 
 # ---------------------------------------------------------------- adjusted
 
+def _adjusted(d, gamma, j_soc):
+    """The allocation under selfish claims, composed as callers compose it."""
+    return allocate(selfish_cost(d, gamma), j_soc)
+
+
 def test_adjusted_reduces_to_ideal_when_honest():
-    res = adjusted_allocation(FAV.d, np.zeros(4), FAV.j_soc)
+    res = _adjusted(FAV.d, np.zeros(4), FAV.j_soc)
     ideal = allocate(FAV.d, FAV.j_soc)
     np.testing.assert_allclose(res.j, ideal.j, atol=1e-12)
     assert res.epsilon == pytest.approx(ideal.epsilon, abs=1e-12)
 
 
 def test_adjusted_overclaim_kills_bargain():
-    res = adjusted_allocation(FAV.d, [0.0, 0.2, 0.0, 0.0], FAV.j_soc)
+    res = _adjusted(FAV.d, [0.0, 0.2, 0.0, 0.0], FAV.j_soc)
     assert not res.success  # 0.2 * 481.18 = 96.2 understates past the 59.31 budget
 
 
 def test_adjusted_moderate_claim_survives():
-    res = adjusted_allocation(FAV.d, [0.0, 0.1, 0.0, 0.0], FAV.j_soc)
+    res = _adjusted(FAV.d, [0.0, 0.1, 0.0, 0.0], FAV.j_soc)
     assert res.success
     expected_eps = (4 * FAV.eps0 - 0.1 * 481.18) / 4
     assert res.epsilon == pytest.approx(expected_eps, abs=1e-9)
@@ -98,28 +104,32 @@ def test_adjusted_moderate_claim_survives():
 
 
 def test_adjusted_agrees_with_allocate(rng):
-    # two derivations of the same shares must coincide on random inputs
+    # the composed allocation must match the ideal-cost algebra
+    # J_i = D_i - gamma_i |D_i| - (r eps0 - R_tot)/r on random inputs,
+    # and hold exactly while R_tot <= r eps0
     for _ in range(50):
         r = int(rng.integers(1, 8))
         d = rng.uniform(-300, 600, size=r)
         gamma = rng.uniform(0, 0.5, size=r)
         j_soc = d.sum() - rng.uniform(0, 100)
-        a = allocate(selfish_cost(d, gamma), j_soc)
-        b = adjusted_allocation(d, gamma, j_soc)
-        np.testing.assert_allclose(a.j, b.j, atol=1e-9)
-        assert a.epsilon == pytest.approx(b.epsilon, abs=1e-9)
-        assert a.success == b.success
+        a = _adjusted(d, gamma, j_soc)
+        r_tot = float(np.sum(gamma * np.abs(d)))
+        eps0 = (d.sum() - j_soc) / r
+        epsilon = (r * eps0 - r_tot) / r
+        np.testing.assert_allclose(a.j, d - gamma * np.abs(d) - epsilon, atol=1e-9)
+        assert a.epsilon == pytest.approx(epsilon, abs=1e-9)
+        assert a.success == (r_tot <= r * eps0 + r * SUCCESS_TOL)
 
 
 def test_gamma_monotonicity(rng):
     # raising any one gamma only shrinks the common discount
     d, j_soc = FAV.d, FAV.j_soc
     gamma = rng.uniform(0, 0.05, size=4)
-    base = adjusted_allocation(d, gamma, j_soc).epsilon
+    base = _adjusted(d, gamma, j_soc).epsilon
     for i in range(4):
         bumped = gamma.copy()
         bumped[i] += 0.02
-        assert adjusted_allocation(d, bumped, j_soc).epsilon <= base + 1e-12
+        assert _adjusted(d, bumped, j_soc).epsilon <= base + 1e-12
 
 
 # ---------------------------------------------------------------- bounds
@@ -453,3 +463,9 @@ def test_resilience_report_zero_cost_user():
     assert rep["users"][0]["solo_bound"] is None
     assert rep["users"][0]["profit_interval"] is None
     assert rep["users"][1]["solo_bound"] is not None
+
+
+@pytest.mark.parametrize("honest", [[4], [-1]])
+def test_resilience_report_checks_honest_without_monte_carlo(honest):
+    with pytest.raises(InvariantViolation, match="outside"):
+        resilience_report(FAV.d, FAV.j_soc, honest=honest, mc_samples=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridbargain import adjusted_allocation, allocate, cli, data_path, selfish_cost
+from gridbargain import allocate, cli, data_path, selfish_cost
 from gridbargain.bargaining import PREDICATES
 
 FAV_D = "-61.33,481.18,101.48,-23.34"
@@ -158,7 +158,7 @@ def test_bargain_gamma_sweep_csv(tmp_path):
     for line in lines[1:]:
         g2, g3, success, eps = (float(v) for v in line.split(","))
         gamma = np.array([0.0, g2, g3, 0.0])
-        res = adjusted_allocation(d, gamma, rep["j_soc"])
+        res = allocate(selfish_cost(d, gamma), rep["j_soc"])
         assert bool(success) == res.success
         assert eps == pytest.approx(res.epsilon, abs=1e-6)
 
@@ -221,6 +221,7 @@ def test_exit_2_bad_flag_values(tmp_path):
     ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--samples", "-3"],
     ["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
     ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
+    ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "0"],
 ])
 def test_exit_2_bad_monte_carlo_flags(tmp_path, argv):
     out = tmp_path / "out"
@@ -230,11 +231,46 @@ def test_exit_2_bad_monte_carlo_flags(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["report", "bargain", "region"])
 @pytest.mark.parametrize("monte_carlo", [{"samples": -10, "honest": [1]},
-                                         {"samples": 100, "honest": [9]}])
+                                         {"samples": 100, "honest": [9]},
+                                         {"samples": 0, "honest": [9]}])
 def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
     cfg = _experiment(tmp_path, monte_carlo=monte_carlo)
     out = tmp_path / "out"
     assert cli.main([command, cfg, "--out", str(out)]) == 2
+    assert not any(out.glob("*.json"))
+
+
+def _yaml_syntax_error(tmp_path):
+    cfg = tmp_path / "e.yaml"
+    cfg.write_text(f"model: {data_path('model.yaml')}\nseed: [1\n")
+    return str(cfg)
+
+
+def _word_for_kappa(tmp_path):
+    cfg = _bridge_experiment(tmp_path)
+    model = yaml.safe_load((tmp_path / "m.yaml").read_text())
+    model["users"][0]["desd"]["kappa"] = "abc"
+    (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
+    return cfg
+
+
+def _word_in_demands(tmp_path):
+    cfg = _bridge_experiment(tmp_path)
+    (tmp_path / "d.csv").write_text("u1,u2\n0,0\n0,lots\n")
+    return cfg
+
+
+@pytest.mark.parametrize("make_config", [
+    _yaml_syntax_error,
+    lambda tmp_path: _experiment(tmp_path, model=5),
+    lambda tmp_path: _experiment(tmp_path, seed=[1]),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": "lots", "honest": [1]}),
+    _word_for_kappa,
+    _word_in_demands,
+], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word"])
+def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
+    out = tmp_path / "out"
+    assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
     assert not any(out.glob("*.json"))
 
 

@@ -12,6 +12,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasible,
                          InvariantViolation, LengthMismatch, MicrogridModel, PiecewiseSocBdc,
@@ -21,8 +24,8 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          trading_cost, validate_model)
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
-from gridbargain.scheduling import (FEAS_TOL, _forced_exchange, _linprog_input, _solve_lp,
-                                    _storage_lp)
+from gridbargain.scheduling import (FEAS_TOL, _forced_exchange, _linprog_input, _lp_keywords,
+                                    _solve_lp, _storage_lp)
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
 
@@ -484,33 +487,120 @@ def _dense_storage_lp(ports, T, dt, refill_terminal):
             np.hstack([np.eye(T), -np.eye(T)] * len(ports)))
 
 
+def _dense_state_lp(ports, T, dt, refill_terminal):
+    """The state-form storage LP laid out densely, from identity blocks."""
+    batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
+    n_ports, stride = 2 * T * len(ports), len(batteries) + 1
+    A = np.zeros((stride * T, n_ports + T * len(batteries)))
+    b_eq = np.zeros(stride * T)
+    lo = np.zeros(A.shape[1])
+    hi = np.concatenate([np.repeat([cap for cap, _ in ports], 2 * T),
+                         np.repeat([d.e_max for _, d in batteries], T)])
+    I = np.eye(T)
+    A[-T:, :n_ports] = np.hstack([I, -I] * len(ports))  # bus balance
+    for b, (k, d) in enumerate(batteries):
+        rows = slice(T * b, T * (b + 1))
+        A[rows, 2 * T * k:2 * T * (k + 1)] = np.hstack([I / d.kappa, -d.kappa * I]) * dt
+        A[rows, n_ports + T * b:n_ports + T * (b + 1)] = I - np.eye(T, k=-1)
+        b_eq[T * b] = d.e0
+        lo[n_ports + T * b:n_ports + T * (b + 1)] = d.e_min
+        if refill_terminal:
+            lo[n_ports + T * (b + 1) - 1] = d.e0
+    # blocks above are battery by battery, the builder's rows step by step
+    order = np.arange(stride * T).reshape(stride, T).T.ravel()
+    return A[order], b_eq[order], np.column_stack([lo, hi])
+
+
+_LAYOUTS = ("pooled", "solo", "cleanup", "rebalance")
+
+
+def _ports(layout, batteries, grid=(12.0, None)):
+    """The port lists of the package's storage LPs: pooled, solo, cleanup, rebalance."""
+    batteries = [(d.p_b_max, d) for d in batteries]
+    return {"pooled": [grid] + batteries, "solo": [grid, batteries[0]],
+            "cleanup": [batteries[-1]], "rebalance": [batteries[-1], grid]}[layout]
+
+
 @pytest.mark.parametrize("refill_terminal", [False, True])
-@pytest.mark.parametrize("layout", ["pooled", "solo", "cleanup", "rebalance"])
+@pytest.mark.parametrize("layout", _LAYOUTS)
 def test_storage_lp_is_the_dense_layout(layout, refill_terminal):
     T, dt = 7, 0.3  # not a power of two, so the order of the scalings shows
-    grid = (12.0, None)
-    batteries = [(d.p_b_max, d) for d in _BATTERIES]
-    ports = {"pooled": [grid] + batteries, "solo": [grid, batteries[0]],
-             "cleanup": [batteries[1]], "rebalance": [batteries[1], grid]}[layout]
+    ports = _ports(layout, _BATTERIES if layout == "pooled" else _BATTERIES[:2])
+    lp = _storage_lp(ports, T, dt, refill_terminal)
+    A, b_eq, bounds = _dense_state_lp(ports, T, dt, refill_terminal)
+    assert np.array_equal(lp["A_eq"].toarray(), A)
+    assert np.all(lp["A_eq"].data != 0.0)  # no explicit zeros stored
+    n_batteries = sum(d is not None for _, d in ports)
+    assert lp["A_eq"].nnz == 2 * T * len(ports) + n_batteries * (4 * T - 1)
+    assert np.array_equal(lp["b_eq"], b_eq)
+    assert np.array_equal(lp["bounds"], bounds)
+
+
+def test_lp_keywords_fill_the_balance_rows():
+    T = 5
+    ports = _ports("pooled", _BATTERIES)
+    lp = _storage_lp(ports, T, 0.3)
+    bus = np.arange(1.0, T + 1)
+    kw = _lp_keywords(lp, np.ones(2 * T * len(ports)), bus)
+    balance = np.zeros(lp["b_eq"].size, dtype=bool)
+    balance[len(_BATTERIES)::len(_BATTERIES) + 1] = True
+    np.testing.assert_array_equal(kw["b_eq"][balance], bus)
+    np.testing.assert_array_equal(kw["b_eq"][~balance], lp["b_eq"][~balance])
+    np.testing.assert_array_equal(kw["c"], np.repeat([1.0, 0.0], [2 * T * len(ports),
+                                                                 T * len(_BATTERIES)]))
+
+
+@st.composite
+def _storage_programs(draw):
+    """A port list with random costs and a bus that is often, not always, feasible."""
+    T = draw(st.integers(1, 9))
+    batteries = []
+    for _ in range(3):
+        e_max = draw(st.floats(0.5, 12.0))
+        e_min = draw(st.just(0.0) | st.floats(0.0, e_max))
+        batteries.append(DesdParams(e0=draw(st.just(e_min) | st.floats(e_min, e_max)),
+                                    e_min=e_min, e_max=e_max,
+                                    p_b_max=draw(st.floats(0.2, 5.0)),
+                                    kappa=draw(st.floats(0.5, 1.0))))
+    ports = _ports(draw(st.sampled_from(_LAYOUTS)), batteries,
+                   grid=(draw(st.floats(0.5, 20.0)), None))
+    costs = st.floats(-5.0, 20.0)
+    c = np.array(draw(st.lists(costs, min_size=2 * T * len(ports),
+                               max_size=2 * T * len(ports))))
+    bus = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=T, max_size=T)))
+    return ports, T, draw(st.booleans()), c, bus
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_storage_programs())
+def test_state_lp_matches_the_cumulative_layout(program):
+    """Same optimum and same feasibility as the cumulative SOC rows."""
+    ports, T, refill_terminal, c, bus = program
+    dt = 0.3
     lp = _storage_lp(ports, T, dt, refill_terminal)
     A_ub, b_ub, A_eq = _dense_storage_lp(ports, T, dt, refill_terminal)
-    for got, want in ((lp["A_ub"], A_ub), (lp["A_eq"], A_eq)):
-        assert np.array_equal(got.toarray(), want)
-        assert np.all(got.data != 0.0)  # no explicit zeros stored
-        assert got.nnz == np.count_nonzero(want)
-    assert np.array_equal(lp["b_ub"], b_ub)
-    caps = np.repeat([cap for cap, _ in ports], 2 * T)
-    assert np.array_equal(lp["bounds"], np.column_stack([np.zeros_like(caps), caps]))
+    n = c.size
+    oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=bus,
+                     bounds=lp["bounds"][:n], method="highs")
+    if oracle.status == 2:
+        with pytest.raises(Infeasible):
+            _solve_lp(c, _linprog_input(lp), bus, "state form")
+        return
+    assert oracle.status == 0
+    x = _solve_lp(c, _linprog_input(lp), bus, "state form")
+    assert abs(float(c @ x[:n]) - oracle.fun) <= 1e-7 * max(1.0, abs(oracle.fun))
+    assert np.all(A_ub @ x[:n] <= b_ub + 1e-7)
 
 
 def test_storage_lp_without_batteries():
     lp = _storage_lp([(5.0, None)], 4, 1.0)
-    assert lp["A_ub"] is None and lp["b_ub"] is None
     assert np.array_equal(lp["A_eq"].toarray(), np.hstack([np.eye(4), -np.eye(4)]))
+    assert np.array_equal(lp["b_eq"], np.zeros(4))
+    assert np.array_equal(lp["bounds"], np.repeat([[0.0, 5.0]], 8, axis=0))
 
 
 def test_pooled_lp_assembly_memory():
-    """60 batteries at T=96: ~1.1 GB as dense blocks, O(T^2) nonzeros each here."""
+    """60 batteries at T=96: ~1.1 GB as dense cumulative blocks, O(T) nonzeros each here."""
     T, n_active = 96, 60
     ports = [(200.0, None)] + [(d.p_b_max, d) for d in _BATTERIES * 20]
     tracemalloc.start()
@@ -519,6 +609,6 @@ def test_pooled_lp_assembly_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lp["A_ub"].shape == (n_active * (2 * T + 1), 2 * T * (n_active + 1))
-    assert lp["A_ub"].nnz == n_active * (2 * T * (T + 1) + 2 * T)
-    assert peak < 50e6
+    assert lp["A_eq"].shape == (T * (n_active + 1), 2 * T * (n_active + 1) + T * n_active)
+    assert lp["A_eq"].nnz == 2 * T * (n_active + 1) + n_active * (4 * T - 1)
+    assert peak < 10e6  # ~2.6 MB measured
