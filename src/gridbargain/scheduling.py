@@ -133,26 +133,23 @@ def _storage_lp(ports, T, dt, refill_terminal=False):
     power out of it, each in [0, cap]. The grid is a port without a
     device (buy, sell); a battery is one with its DesdParams (discharge,
     charge). After all port columns, each battery keeps its state: T
-    columns E_t in [e_min, e_max], the energy after step t, and a row
-    per step, E_t - E_{t-1} + (discharge_t/kappa - kappa*charge_t)*dt = 0
-    with E_0 = e0 on the right-hand side. ``refill_terminal`` raises the
-    lower bound of E_T to e0. Rows go step by step, each step's battery
-    rows and then its bus balance row, whose right-hand side
-    ``_lp_keywords`` fills in; of the orders tried, this one most often
-    leads HiGHS to the vertex the cumulative SOC rows led it to. The
-    matrix is sparse: one entry per port column and 4T - 1 more per
-    battery.
+    columns E_t in [e_min, e_max], the energy after step t. The first T
+    rows balance the bus; ``_lp_keywords`` fills in their right-hand
+    side. Then each battery has T rows,
+    E_t - E_{t-1} + (discharge_t/kappa - kappa*charge_t)*dt = 0 with
+    E_0 = e0 on the right-hand side. ``refill_terminal`` raises the
+    lower bound of E_T to e0. The matrix is sparse: one entry per port
+    column and 4T - 1 more per battery.
     """
     batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
-    n_ports, stride = 2 * T * len(ports), len(batteries) + 1
-    t = np.arange(T)
-    rows, cols = [np.tile(stride * t + stride - 1, 2 * len(ports))], [np.arange(n_ports)]
+    n_ports, t = 2 * T * len(ports), np.arange(T)
+    rows, cols = [np.tile(t, 2 * len(ports))], [np.arange(n_ports)]
     vals = [np.tile(np.repeat([1.0, -1.0], T), len(ports))]
-    b_eq = np.zeros(stride * T)
+    b_eq = np.zeros(T * (len(batteries) + 1))
     bounds = np.zeros((n_ports + T * len(batteries), 2))
     bounds[:n_ports, 1] = np.repeat([float(cap) for cap, _ in ports], 2 * T)
     for b, (k, d) in enumerate(batteries):
-        soc, energy = stride * t + b, n_ports + T * b + t  # its rows, its E columns
+        soc, energy = T * (b + 1) + t, n_ports + T * b + t  # its rows, its E columns
         rows += [soc, soc, soc, soc[1:]]
         cols += [2 * T * k + t, 2 * T * k + T + t, energy, energy[:-1]]
         vals += [np.full(T, 1.0 / d.kappa * dt), np.full(T, -d.kappa * dt),
@@ -163,18 +160,17 @@ def _storage_lp(ports, T, dt, refill_terminal=False):
             bounds[energy[-1], 0] = d.e0
     A_eq = sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(b_eq.size, bounds.shape[0]))
-    return {"A_eq": A_eq, "b_eq": b_eq, "bounds": bounds}
+    return {"A_eq": A_eq, "b_eq": b_eq, "bounds": bounds, "T": T}
 
 
 def _lp_keywords(lp, c, bus):
     """``linprog`` keywords for ``lp`` with port costs ``c`` and bus balance ``bus``.
 
     The energy columns cost nothing; ``bus`` is the right-hand side of
-    the balance rows, the last row of each step.
+    the first T rows.
     """
     b_eq = lp["b_eq"].copy()
-    stride = b_eq.size // len(bus)
-    b_eq[stride - 1::stride] = bus
+    b_eq[:lp["T"]] = bus
     c = np.concatenate([c, np.zeros(lp["bounds"].shape[0] - len(c))])
     return {"c": c, "A_eq": lp["A_eq"], "b_eq": b_eq, "bounds": lp["bounds"]}
 

@@ -17,7 +17,7 @@ from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolatio
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
 from gridbargain.scheduling import _storage_lp
-from test_scheduling import _dense_storage_lp
+from _oracles import cumulative_storage_lp
 
 
 def _tol(cost, config=None):
@@ -246,7 +246,7 @@ def test_storage_dp_matches_highs(program):
     desd, T, dt, unit, lam = program
     local = _UserLocal(desd, T, dt, p_max=10.0)
     c = np.concatenate([unit - lam, unit + lam]) * dt
-    A_ub, b_ub, _ = _dense_storage_lp([(desd.p_b_max, desd)], T, dt, False)
+    A_ub, b_ub, _ = cumulative_storage_lp([(desd.p_b_max, desd)], T, dt, False)
     # at HiGHS's default 1e-7 tolerances the oracle itself can miss the
     # optimum by more than the 1e-9 asserted below when prices are tiny
     oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, desd.p_b_max)] * (2 * T),

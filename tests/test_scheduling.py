@@ -26,6 +26,7 @@ from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_mo
                                   random_rg_profiles, synthetic_solar_pool)
 from gridbargain.scheduling import (FEAS_TOL, _forced_exchange, _linprog_input, _lp_keywords,
                                     _solve_lp, _storage_lp)
+from _oracles import cumulative_storage_lp
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
 
@@ -468,47 +469,26 @@ _BATTERIES = (
 )
 
 
-def _dense_storage_lp(ports, T, dt, refill_terminal):
-    """The storage LP laid out densely: a lower-triangular block per battery."""
-    n = 2 * T * len(ports)
-    L = np.tril(np.ones((T, T)))
-    blocks, rhs = [], []
-    for k, (_, desd) in enumerate(ports):
-        if desd is None:
-            continue
-        drain = np.hstack([L / desd.kappa, -desd.kappa * L]) * dt
-        rows = np.vstack([drain, -drain] + ([drain[-1:]] if refill_terminal else []))
-        block = np.zeros((rows.shape[0], n))
-        block[:, 2 * T * k:2 * T * (k + 1)] = rows
-        blocks.append(block)
-        rhs += [np.full(T, desd.e0 - desd.e_min), np.full(T, desd.e_max - desd.e0)]
-        rhs += [np.zeros(1)] if refill_terminal else []
-    return (np.vstack(blocks) if blocks else None, np.concatenate(rhs) if rhs else None,
-            np.hstack([np.eye(T), -np.eye(T)] * len(ports)))
-
-
 def _dense_state_lp(ports, T, dt, refill_terminal):
     """The state-form storage LP laid out densely, from identity blocks."""
     batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
-    n_ports, stride = 2 * T * len(ports), len(batteries) + 1
-    A = np.zeros((stride * T, n_ports + T * len(batteries)))
-    b_eq = np.zeros(stride * T)
+    n_ports = 2 * T * len(ports)
+    A = np.zeros((T * (len(batteries) + 1), n_ports + T * len(batteries)))
+    b_eq = np.zeros(A.shape[0])
     lo = np.zeros(A.shape[1])
     hi = np.concatenate([np.repeat([cap for cap, _ in ports], 2 * T),
                          np.repeat([d.e_max for _, d in batteries], T)])
     I = np.eye(T)
-    A[-T:, :n_ports] = np.hstack([I, -I] * len(ports))  # bus balance
+    A[:T, :n_ports] = np.hstack([I, -I] * len(ports))  # bus balance
     for b, (k, d) in enumerate(batteries):
-        rows = slice(T * b, T * (b + 1))
+        rows = slice(T * (b + 1), T * (b + 2))
         A[rows, 2 * T * k:2 * T * (k + 1)] = np.hstack([I / d.kappa, -d.kappa * I]) * dt
         A[rows, n_ports + T * b:n_ports + T * (b + 1)] = I - np.eye(T, k=-1)
-        b_eq[T * b] = d.e0
+        b_eq[T * (b + 1)] = d.e0
         lo[n_ports + T * b:n_ports + T * (b + 1)] = d.e_min
         if refill_terminal:
             lo[n_ports + T * (b + 1) - 1] = d.e0
-    # blocks above are battery by battery, the builder's rows step by step
-    order = np.arange(stride * T).reshape(stride, T).T.ravel()
-    return A[order], b_eq[order], np.column_stack([lo, hi])
+    return A, b_eq, np.column_stack([lo, hi])
 
 
 _LAYOUTS = ("pooled", "solo", "cleanup", "rebalance")
@@ -540,14 +520,14 @@ def test_lp_keywords_fill_the_balance_rows():
     T = 5
     ports = _ports("pooled", _BATTERIES)
     lp = _storage_lp(ports, T, 0.3)
-    bus = np.arange(1.0, T + 1)
-    kw = _lp_keywords(lp, np.ones(2 * T * len(ports)), bus)
-    balance = np.zeros(lp["b_eq"].size, dtype=bool)
-    balance[len(_BATTERIES)::len(_BATTERIES) + 1] = True
-    np.testing.assert_array_equal(kw["b_eq"][balance], bus)
-    np.testing.assert_array_equal(kw["b_eq"][~balance], lp["b_eq"][~balance])
+    c, bus = np.ones(2 * T * len(ports)), np.arange(1.0, T + 1)
+    kw = _lp_keywords(lp, c, bus)
+    np.testing.assert_array_equal(kw["b_eq"][:T], bus)
+    np.testing.assert_array_equal(kw["b_eq"][T:], lp["b_eq"][T:])
     np.testing.assert_array_equal(kw["c"], np.repeat([1.0, 0.0], [2 * T * len(ports),
                                                                  T * len(_BATTERIES)]))
+    with pytest.raises(ValueError):
+        _lp_keywords(lp, c, bus[:-1])
 
 
 @st.composite
@@ -578,7 +558,7 @@ def test_state_lp_matches_the_cumulative_layout(program):
     ports, T, refill_terminal, c, bus = program
     dt = 0.3
     lp = _storage_lp(ports, T, dt, refill_terminal)
-    A_ub, b_ub, A_eq = _dense_storage_lp(ports, T, dt, refill_terminal)
+    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, refill_terminal)
     n = c.size
     oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=bus,
                      bounds=lp["bounds"][:n], method="highs")
