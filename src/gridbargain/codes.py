@@ -31,11 +31,13 @@ value of the tail-averaged network price is a certified optimality gap,
 and the run stops once that certificate meets the cost tolerance. When
 the gap is close or the rounds run out, a round-robin rebalance lets
 each user in turn re-solve against the true tariff together with the
-grid. A final per-user cleanup pass re-times each storage schedule at
-fixed net injection, which removes any simultaneous charge/discharge
-the averaging introduced. These two are the only LPs (HiGHS); both are
-the pooled LP of ``scheduling._storage_lp`` on fewer ports, with the
-state of charge as a column per step, built once per run for each user.
+grid. Each of those best responses, one battery plus the grid, is the exact
+DP of ``scheduling`` too. A final per-user cleanup pass re-times each
+storage schedule at fixed net injection, which removes any simultaneous
+charge/discharge the averaging introduced. That is the only LP
+(HiGHS): the pooled LP of ``scheduling._storage_lp`` on the battery's
+port alone, with the state of charge as a column per step, built once
+per run for each user.
 
 The routine is deterministic for a given (model, config, seed); the
 seed only feeds the optional initial price jitter and is recorded.
@@ -44,7 +46,6 @@ seed only feeds the optional initial price jitter and is recorded.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ from scipy.optimize import linprog
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
-from .scheduling import (SocialScheduleOutcome, _costed, _linprog_input, _lp_keywords,
-                         _rg_profiles, _storage_lp, trading_cost)
+from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
+                         _linprog_input, _lp_keywords, _rg_profiles, _storage_dp, _storage_lp,
+                         trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -158,133 +160,45 @@ class CodesRun:
     seed: int | None = None
 
 
-_W, _DRAIN, _FILL = 0, 1, 2  # who owns a segment of a merged slope list
-
-
-def _storage_dp(alpha, beta, X, Y, span, start, recover):
-    """Exact single-battery program in energy units, by a backward DP.
-
-    Per step t: drain x_t in [0, X] at alpha_t per kWh, fill y_t in
-    [0, Y] at beta_t per kWh, with the SOC offset above e_min kept in
-    [0, span] and starting at ``start``. The value function W_t of the
-    SOC offset is convex piecewise-linear, held as a value at 0 plus
-    (slope, length) segments sorted by slope. One step costs
-    h_t(v), v = x - y in [-Y, X]: two segments, fill less (-beta, Y)
-    and drain more (alpha, X), which sorting also makes convex when
-    alpha + beta < 0. So W_{t-1}, the infimal convolution h_t [] W_t
-    cut back to [0, span], is a merge of two sorted segment lists.
-
-    Tie rule: on equal slopes the W_t segment comes first, so the hour
-    ends at the higher SOC. The distributed solver's round counts
-    depend on which of several optimal schedules a solve returns.
-
-    Returns W_0(start) and, with ``recover``, the per-step drain and
-    fill of one optimal schedule (None otherwise).
-    """
-    slopes, lens, tags = [0.0], [span], [_W]
-    val = 0.0
-    merged = []
-    for a, b in zip(reversed(alpha), reversed(beta)):
-        for slope, length, tag in ((-b, Y, _FILL), (a, X, _DRAIN)):
-            i = bisect_right(slopes, slope)
-            slopes.insert(i, slope)
-            lens.insert(i, length)
-            tags.insert(i, tag)
-        if recover:
-            merged.append((lens, tags))
-        # The merge starts at offset -Y with every hour filling fully;
-        # drop that first Y and keep the next span.
-        val += b * Y
-        skip, keep = Y, span
-        new_s, new_l = [], []
-        for slope, length in zip(slopes, lens):
-            if skip > 0.0:
-                if length <= skip:
-                    val += slope * length
-                    skip -= length
-                    continue
-                val += slope * skip
-                length -= skip
-                skip = 0.0
-            if length >= keep:
-                new_s.append(slope)
-                new_l.append(keep)
-                break
-            new_s.append(slope)
-            new_l.append(length)
-            keep -= length
-        slopes, lens, tags = new_s, new_l, [_W] * len(new_s)
-
-    pos = start
-    for slope, length in zip(slopes, lens):
-        if length >= pos:
-            val += slope * pos
-            break
-        val += slope * length
-        pos -= length
-    if not recover:
-        return val, None, None
-
-    # Forward pass: walking a merged list up to the current SOC splits
-    # that point between this hour (h segments) and the rest (W).
-    drain, fill = [], []
-    soc = start
-    for lens_t, tags_t in reversed(merged):
-        pos = soc + Y
-        x = used_fill = 0.0
-        for length, tag in zip(lens_t, tags_t):
-            take = length if length < pos else pos
-            if tag == _DRAIN:
-                x += take
-            elif tag == _FILL:
-                used_fill += take
-            pos -= take
-            if pos <= 0.0:
-                break
-        y = Y - used_fill
-        drain.append(x)
-        fill.append(y)
-        soc = min(max(soc - x + y, 0.0), span)
-    return val, drain, fill
-
-
 class _UserLocal:
     """One active user's storage subproblem, solved exactly when asked.
 
     min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
-    polytope. The per-round step and its value are ``_storage_dp`` in
-    energy units: drain x = discharge dt / kappa, fill y = kappa charge
-    dt. The cleanup and rebalance programs run rarely and stay LPs, on
-    the ports [battery] and [battery, grid] of ``scheduling._storage_lp``
-    (the battery's energy columns follow the ports); both are built here,
-    once, since the grid rating p_max is fixed for the run.
+    polytope. The per-round step and its value are
+    ``scheduling._storage_dp`` in energy units, two segments per step:
+    fill less at -beta per kWh (y = kappa charge dt up to Y) and drain
+    more at alpha (x = discharge dt / kappa up to X). The round-robin
+    rebalance is the same DP on the battery-plus-grid program. Only the
+    rare cleanup stays an LP, on the port [battery] of
+    ``scheduling._storage_lp`` (the battery's energy columns follow the
+    port), built here once.
     """
 
     def __init__(self, desd, T, dt, p_max):
-        self.desd, self.T, self.dt = desd, T, dt
+        self.desd, self.T, self.dt, self.p_max = desd, T, dt, p_max
         kappa = desd.kappa
-        self._dp_args = (desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
-                         desd.e_max - desd.e_min, desd.e0 - desd.e_min)
+        self._X, self._Y = desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt
+        self._dp_args = (desd.e_max - desd.e_min, desd.e0 - desd.e_min)
         self._cleanup = _linprog_input(_storage_lp([(desd.p_b_max, desd)], T, dt))
-        self._rebalance = _linprog_input(
-            _storage_lp([(desd.p_b_max, desd), (p_max, None)], T, dt))
 
-    def _slopes(self, unit_cost, lam):
+    def _steps(self, unit_cost, lam):
         alpha = (unit_cost - lam) * self.desd.kappa
         beta = (unit_cost + lam) / self.desd.kappa
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
             raise SolverStall("local storage step: non-finite cost or price")
-        return alpha.tolist(), beta.tolist()
+        X, Y = self._X, self._Y
+        return [(-Y, b * Y, ((-b, Y, _FILL), (a, X, _DRAIN)))
+                for a, b in zip(alpha.tolist(), beta.tolist())]
 
     def solve(self, unit_cost, lam):
         """Optimal (discharge, charge) against the price copy lam."""
-        _, x, y = _storage_dp(*self._slopes(unit_cost, lam), *self._dp_args, True)
+        _, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args, True)
         kappa, dt = self.desd.kappa, self.dt
         return np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
 
     def value(self, unit_cost, lam):
         """Optimal cost against lam, without recovering the schedule."""
-        return _storage_dp(*self._slopes(unit_cost, lam), *self._dp_args, False)[0]
+        return _storage_dp(self._steps(unit_cost, lam), *self._dp_args, False)[0]
 
     def min_throughput(self, unit_cost, net):
         """Cheapest schedule with the given net injection (cleanup pass)."""
@@ -299,16 +213,14 @@ class _UserLocal:
         """Best response against the true tariff with everyone else frozen.
 
         resid is the imbalance this user and the grid must cover
-        together; the ports are this battery then the grid, so the
-        variables are [discharge, charge, grid buy, grid sell] and then
-        the battery's energy. Returns the user's schedule.
+        together. Returns the user's schedule (discharge, charge).
         """
-        T = self.T
-        c = np.concatenate([unit_cost + 1e-9, unit_cost + 1e-9, pb, ps * -1.0]) * self.dt
-        res = linprog(**_lp_keywords(self._rebalance, c, resid), method="highs")
-        if res.status != 0:
-            raise SolverStall(f"rebalance step failed: {res.message}")
-        return res.x[:T], res.x[T:2 * T]
+        # 1e-9 per kWh of throughput breaks zero-cost ties toward idling
+        sched = _battery_and_grid(self.desd, unit_cost + 1e-9, pb, ps, resid, self.p_max,
+                                  self.dt)
+        if sched is None:
+            raise SolverStall("rebalance step: no feasible schedule")
+        return sched[1:]
 
 
 def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):

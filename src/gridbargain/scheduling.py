@@ -13,24 +13,30 @@ One problem, solved for two memberships:
 Both minimize trading cost plus battery degradation over the horizon,
 subject to power balance at every step, state-of-charge limits, device
 ratings and the point-of-coupling rating. With a constant degradation
-cost this is a linear program solved directly (HiGHS); a SOC-dependent
-degradation cost is handled by successive linearization: solve with the
-cost profile looked up on the previous SOC trajectory, re-lookup,
-repeat until the true cost moves less than CONVERGED_DELTA_CENTS (at
-most MAX_OUTER linearizations).
+cost this is a linear program; a SOC-dependent degradation cost is
+handled by successive linearization: solve with the cost profile looked
+up on the previous SOC trajectory, re-lookup, repeat until the true
+cost moves less than CONVERGED_DELTA_CENTS (at most MAX_OUTER
+linearizations).
 
-A membership without a battery needs no solver: balance forces its grid
-exchange, and the cheapest one has a closed form (``_forced_exchange``).
+The number of batteries in the program picks the solver:
 
-Every storage LP in the package, the distributed solver's cleanup and
-rebalance programs included, is laid out by ``_storage_lp`` from an
-ordered list of ports: the grid, or one battery. Each battery's state
-of charge is a column per step, tied to the previous step's by an
-equality row, so the LP has equality rows only and its sparse matrix,
-built once per run straight from index arrays, holds O(T) nonzeros per
-battery. LPs small enough that scipy takes dense input faster, such as
-a solo LP at T=24, reach ``linprog`` dense; HiGHS receives the same
-matrix either way.
+* none: balance forces the grid exchange, and the cheapest one has a
+  closed form (``_forced_exchange``);
+* one (every solo schedule, and the distributed solver's local steps):
+  ``_storage_dp``, an exact backward DP over the convex
+  piecewise-linear value of stored energy. ``_battery_and_grid`` builds
+  each step's battery-plus-grid cost with array operations. On equal
+  slopes the DP ends the hour at the higher state of charge;
+* two or more: HiGHS, on the LP that ``_storage_lp`` lays out from an
+  ordered list of ports: the grid, then each battery. Each battery's
+  state of charge is a column per step, tied to the previous step's by
+  an equality row, so the LP has equality rows only and its sparse
+  matrix, built once per run straight from index arrays, holds O(T)
+  nonzeros per battery. LPs small enough that scipy takes dense input
+  faster reach ``linprog`` dense; HiGHS receives the same matrix either
+  way. The distributed solver's cleanup LP is the same builder on one
+  port.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -38,6 +44,7 @@ optimal schedules may differ wherever the optimum is degenerate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,20 +266,246 @@ def _forced_exchange(net, prices, p_g_max, what):
     return buy, sell
 
 
+# Who owns a segment of a merged slope list: the value function, or the
+# step, which then drains more or fills less.
+_W, _DRAIN, _FILL = 0, 1, 2
+# kWh by which a domain may come up short before the DP calls the
+# program infeasible; the merge's rounding stays far below it.
+_DP_TOL = 1e-9
+# Relative sale past the grid rating that ``_battery_and_grid`` leaves
+# unburnt: the rounding of a SOC drop, which burning would magnify by
+# 1 / (1 / kappa - kappa), 4.5e15 at kappa one ulp below 1.
+_BURN_TOL = 1e-12
+
+
+def _storage_dp(steps, span, start, recover, end_lo=0.0):
+    """Exact single-battery program in energy units, by a backward DP.
+
+    The state is the SOC offset above e_min, kept in [0, span]; it
+    starts at ``start`` and ends at ``end_lo`` or above. Step t lowers
+    it by v_t at a cost h_t(v_t), convex piecewise-linear, given as
+    (lo, h_t(lo), segments): v_t >= lo, and a segment (slope, length,
+    tag) raises v_t by ``length`` at ``slope`` per kWh. A segment
+    tagged _FILL lies left of v = 0 (the step fills less), one tagged
+    _DRAIN right of it (drains more); the domain need not contain 0.
+    Segments are sorted in one at a time, so a list out of slope order
+    stands for its convex envelope, the LP value when filling and
+    draining may run at once.
+
+    The value function W_t of the SOC offset is held as the left end of
+    its domain, the value there and (slope, length) segments sorted by
+    slope. W_{t-1}, the infimal convolution h_t [] W_t cut back to
+    [0, span], is a merge of two sorted segment lists.
+
+    Tie rule: on equal slopes the W_t segment comes first, so the hour
+    ends at the higher SOC; equal step segments keep their order. The
+    distributed solver's round counts depend on which of several
+    optimal schedules a solve returns.
+
+    Returns W_0(start), None when no schedule is feasible, and with
+    ``recover`` the per-step drain and fill (v_t = drain - fill) of one
+    optimal schedule (None otherwise).
+    """
+    slopes, lens, tags = [0.0], [span - end_lo], [_W]
+    w_lo, w_hi = end_lo, span
+    val = 0.0
+    merged = []
+    for lo, h_lo, segs in reversed(steps):
+        for slope, length, tag in segs:
+            i = bisect_right(slopes, slope)
+            slopes.insert(i, slope)
+            lens.insert(i, length)
+            tags.insert(i, tag)
+        left = w_lo + lo
+        if recover:
+            merged.append((left, lo, w_lo, w_hi, lens, tags))
+        # The merge starts at offset ``left``, with the step at lo and
+        # W_t at the left end of its domain; drop what lies below 0 and
+        # keep what lies below span.
+        val += h_lo
+        skip = -left if left < 0.0 else 0.0
+        w_lo = left if left > 0.0 else 0.0
+        keep = span - w_lo
+        if keep < 0.0:
+            if keep < -_DP_TOL:
+                return None, None, None
+            w_lo, keep = span, 0.0
+        new_s, new_l = [], []
+        for slope, length in zip(slopes, lens):
+            if skip > 0.0:
+                if length <= skip:
+                    val += slope * length
+                    skip -= length
+                    continue
+                val += slope * skip
+                length -= skip
+                skip = 0.0
+            if length >= keep:
+                new_s.append(slope)
+                new_l.append(keep)
+                keep = 0.0
+                break
+            new_s.append(slope)
+            new_l.append(length)
+            keep -= length
+        if skip > _DP_TOL:
+            return None, None, None
+        w_hi = span - keep
+        slopes, lens, tags = new_s, new_l, [_W] * len(new_s)
+
+    pos = start - w_lo
+    if pos < -_DP_TOL or start > w_hi + _DP_TOL:
+        return None, None, None
+    for slope, length in zip(slopes, lens):
+        if length >= pos:
+            val += slope * pos
+            break
+        val += slope * length
+        pos -= length
+    if not recover:
+        return val, None, None
+
+    # Forward pass: walking a merged list up to the current SOC splits
+    # that point between this hour (h segments) and the rest (W).
+    drain, fill = [], []
+    soc = start
+    for left, lo, w_lo, w_hi, lens_t, tags_t in reversed(merged):
+        pos = soc - left
+        x = lo if lo > 0.0 else 0.0
+        used_fill = 0.0
+        for length, tag in zip(lens_t, tags_t):
+            take = length if length < pos else pos
+            if tag == _DRAIN:
+                x += take
+            elif tag == _FILL:
+                used_fill += take
+            pos -= take
+            if pos <= 0.0:
+                break
+        y = (-lo if lo < 0.0 else 0.0) - used_fill
+        drain.append(x)
+        fill.append(y)
+        soc = min(max(soc - x + y, w_lo), w_hi)
+    return val, drain, fill
+
+
+def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt, refill_terminal=False):
+    """One battery and the grid covering ``net`` at least cost, by ``_storage_dp``.
+
+    In energy units a step drains x in [0, X], fills y in [0, Y] and
+    buys e = a - kappa x + y / kappa from the grid, where a = net dt and
+    |e| <= G = p_g_max dt; it pays c (kappa x + y / kappa) at the unit
+    degradation cost c plus p e, p being the grid's marginal price:
+    max(buy, sell) where it buys, min(buy, sell) where it sells (at
+    sell >= buy it trades its full rating both ways, a constant
+    min(0, buy - sell) G). Its cost h(v) as a function of the SOC drop
+    v = x - y therefore has slope -(c + p) / kappa while filling and
+    kappa (c - p) while draining, with kinks at v = 0 and where the
+    battery meets the net load (e = 0). Where the grid is at -G, any
+    further v needs kappa < 1: filling and draining at once burns the
+    surplus, at 2 c / (1 / kappa - kappa) per kWh of v. The grid's
+    rating and the battery's cut the domain. Unit costs and prices
+    must be >= 0, as a validated model has them: then no schedule burns
+    energy it could sell.
+
+    Returns the optimal cost (the LP's objective in cents) and the
+    battery's discharge and charge, or None when no schedule is
+    feasible. ``refill_terminal`` ends the SOC at e0 or above.
+    """
+    kappa = desd.kappa
+    rho = 1.0 / kappa - kappa  # surplus burnt per kWh filled and drained at once
+    X, Y = desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt
+    c = np.asarray(unit, dtype=float)
+    a, G = np.asarray(net, dtype=float) * dt, p_g_max * dt
+    p_hi, p_lo = np.maximum(buy, sell), np.minimum(buy, sell)
+
+    def burn(v):  # the least fill y that keeps the grid's sale within G at drop v
+        y = np.maximum(-v, 0.0)
+        if rho == 0.0:
+            return y
+        past = -G - (a - kappa * v + rho * y)  # kWh sold past G without burning
+        return np.where(past > _BURN_TOL * (1.0 + G + np.abs(a)), y + past / rho, y)
+
+    def at(r):  # the drop v without burning at which the grid buys a - r
+        return np.where(r < 0.0, kappa * r, r / kappa)
+
+    zero, sells_max = at(a), at(a + G)
+    lo = np.maximum(-Y, at(a - G))
+    hi = np.minimum(X, np.minimum(kappa * (X * rho + a + G), (Y * rho + a + G) / kappa))
+    if np.any(lo > hi + _DP_TOL):
+        return None
+    hi = np.maximum(hi, lo)
+    y_lo = burn(lo)
+    x_lo = lo + y_lo
+    e_lo = a - kappa * x_lo + y_lo / kappa
+    h_lo = (c * (kappa * x_lo + y_lo / kappa) + np.minimum(0.0, buy - sell) * G
+            + np.where(e_lo > 0.0, p_hi, p_lo) * e_lo)
+
+    ends = np.sort(np.column_stack([lo, np.clip(0.0, lo, hi), np.clip(zero, lo, hi),
+                                    np.clip(sells_max, lo, hi), hi]), axis=1)
+    length = np.diff(ends, axis=1)
+    mid = 0.5 * (ends[:, :-1] + ends[:, 1:])
+    c, p = c[:, None], np.where(mid < zero[:, None], p_hi[:, None], p_lo[:, None])
+    slope = np.where(mid < 0.0, -(c + p) / kappa, kappa * (c - p))
+    if rho > 0.0:
+        slope = np.where(mid > sells_max[:, None], (2.0 / rho) * c, slope)
+    tag = np.where(mid < 0.0, _FILL, _DRAIN)
+    steps = [(l0, h0, [seg for seg in zip(s, n, g) if seg[1] > 0.0])
+             for l0, h0, s, n, g in zip(lo.tolist(), h_lo.tolist(), slope.tolist(),
+                                        length.tolist(), tag.tolist())]
+
+    start = desd.e0 - desd.e_min
+    val, drain, fill = _storage_dp(steps, desd.e_max - desd.e_min, start, True,
+                                   start if refill_terminal else 0.0)
+    if val is None:
+        return None
+    v = np.array(drain) - np.array(fill)
+    y = burn(v)
+    return val, (v + y) * (kappa / dt), y / (kappa * dt)
+
+
 def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
     """Minimum-cost schedule of ``users`` sharing one grid connection.
 
-    ``net`` is their demand minus generation. The grid is the first
-    port, each active user's battery the next, in model order. The unit
-    degradation costs start from the initial SOC and get re-looked-up on
-    the achieved trajectory until the true cost settles. Without a
-    battery the LP has a closed-form optimum and HiGHS is not called.
+    ``net`` is their demand minus generation. The unit degradation
+    costs start from the initial SOC and get re-looked-up on the
+    achieved trajectory until the true cost settles. Without a battery
+    the program has a closed-form optimum; with one it is solved exactly
+    by ``_battery_and_grid``; only two or more batteries go to HiGHS,
+    with the grid as the first port and each battery the next, in model
+    order.
     """
     active = [u for u in users if u.is_active]
     if not active:
         return _costed([], *_forced_exchange(net, prices, p_g_max, what), {}, {}, prices, dt)
-    lp = _linprog_input(_storage_lp(
-        [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active], T, dt, refill_terminal))
+    if len(active) == 1:
+        (user,) = active
+
+        def solve(unit):
+            sched = _battery_and_grid(user.desd, unit[user.id], prices.buy, prices.sell, net,
+                                      p_g_max, dt, refill_terminal)
+            if sched is None:
+                raise Infeasible(f"{what}: no schedule meets the net demand within the "
+                                 "battery and grid ratings")
+            _, discharge, charge = sched
+            grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
+            return (*_forced_exchange(grid, prices, p_g_max, what),
+                    {user.id: discharge}, {user.id: charge})
+    else:
+        lp = _linprog_input(_storage_lp(
+            [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
+            T, dt, refill_terminal))
+
+        def solve(unit):
+            c = np.concatenate(
+                [prices.buy * dt, -prices.sell * dt]
+                + [np.concatenate([unit[u.id], unit[u.id]]) * dt for u in active]
+            )
+            x = _solve_lp(c, lp, net, what)
+            dc = x[2 * T:2 * T * (len(active) + 1)].reshape(len(active), 2, T)
+            return (x[:T], x[T:2 * T], {u.id: d for u, (d, _) in zip(active, dc)},
+                    {u.id: ch for u, (_, ch) in zip(active, dc)})
+
     unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
             for u in active}
     all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
@@ -280,15 +513,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
     prev_cost = None
     best = None
     for outer in range(1, MAX_OUTER + 1):
-        c = np.concatenate(
-            [prices.buy * dt, -prices.sell * dt]
-            + [np.concatenate([unit[u.id], unit[u.id]]) * dt for u in active]
-        )
-        x = _solve_lp(c, lp, net, what)
-
-        dc = x[2 * T:2 * T * (len(active) + 1)].reshape(len(active), 2, T)  # (discharge, charge)
-        out = _costed(active, x[:T], x[T:2 * T], {u.id: d for u, (d, _) in zip(active, dc)},
-                      {u.id: ch for u, (_, ch) in zip(active, dc)}, prices, dt, outer)
+        out = _costed(active, *solve(unit), prices, dt, outer)
         if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)
                or np.any(out.soc[u.id] > u.desd.e_max + FEAS_TOL) for u in active):
             raise SolverStall(f"{what}: SOC left its bounds")

@@ -4,7 +4,15 @@
 before each battery's state of charge became a column: every SOC bound
 is a cumulative sum over the earlier steps. It stays here, verbatim, as
 an independent oracle for the state-form builder and the storage DP.
+
+``two_segment_storage_dp`` is the storage DP as the package had it
+before each step's cost became any convex piecewise-linear function: a
+fill and a drain segment per step, its value function starting at 0.
+It stays here, verbatim but for its name, as the oracle that the
+general DP's local step must reproduce bit for bit.
 """
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -26,3 +34,93 @@ def cumulative_storage_lp(ports, T, dt, refill_terminal):
         rhs += [np.zeros(1)] if refill_terminal else []
     return (np.vstack(blocks) if blocks else None, np.concatenate(rhs) if rhs else None,
             np.hstack([np.eye(T), -np.eye(T)] * len(ports)))
+
+
+_W, _DRAIN, _FILL = 0, 1, 2  # who owns a segment of a merged slope list
+
+
+def two_segment_storage_dp(alpha, beta, X, Y, span, start, recover):
+    """Exact single-battery program in energy units, by a backward DP.
+
+    Per step t: drain x_t in [0, X] at alpha_t per kWh, fill y_t in
+    [0, Y] at beta_t per kWh, with the SOC offset above e_min kept in
+    [0, span] and starting at ``start``. The value function W_t of the
+    SOC offset is convex piecewise-linear, held as a value at 0 plus
+    (slope, length) segments sorted by slope. One step costs
+    h_t(v), v = x - y in [-Y, X]: two segments, fill less (-beta, Y)
+    and drain more (alpha, X), which sorting also makes convex when
+    alpha + beta < 0. So W_{t-1}, the infimal convolution h_t [] W_t
+    cut back to [0, span], is a merge of two sorted segment lists.
+
+    Tie rule: on equal slopes the W_t segment comes first, so the hour
+    ends at the higher SOC. The distributed solver's round counts
+    depend on which of several optimal schedules a solve returns.
+
+    Returns W_0(start) and, with ``recover``, the per-step drain and
+    fill of one optimal schedule (None otherwise).
+    """
+    slopes, lens, tags = [0.0], [span], [_W]
+    val = 0.0
+    merged = []
+    for a, b in zip(reversed(alpha), reversed(beta)):
+        for slope, length, tag in ((-b, Y, _FILL), (a, X, _DRAIN)):
+            i = bisect_right(slopes, slope)
+            slopes.insert(i, slope)
+            lens.insert(i, length)
+            tags.insert(i, tag)
+        if recover:
+            merged.append((lens, tags))
+        # The merge starts at offset -Y with every hour filling fully;
+        # drop that first Y and keep the next span.
+        val += b * Y
+        skip, keep = Y, span
+        new_s, new_l = [], []
+        for slope, length in zip(slopes, lens):
+            if skip > 0.0:
+                if length <= skip:
+                    val += slope * length
+                    skip -= length
+                    continue
+                val += slope * skip
+                length -= skip
+                skip = 0.0
+            if length >= keep:
+                new_s.append(slope)
+                new_l.append(keep)
+                break
+            new_s.append(slope)
+            new_l.append(length)
+            keep -= length
+        slopes, lens, tags = new_s, new_l, [_W] * len(new_s)
+
+    pos = start
+    for slope, length in zip(slopes, lens):
+        if length >= pos:
+            val += slope * pos
+            break
+        val += slope * length
+        pos -= length
+    if not recover:
+        return val, None, None
+
+    # Forward pass: walking a merged list up to the current SOC splits
+    # that point between this hour (h segments) and the rest (W).
+    drain, fill = [], []
+    soc = start
+    for lens_t, tags_t in reversed(merged):
+        pos = soc + Y
+        x = used_fill = 0.0
+        for length, tag in zip(lens_t, tags_t):
+            take = length if length < pos else pos
+            if tag == _DRAIN:
+                x += take
+            elif tag == _FILL:
+                used_fill += take
+            pos -= take
+            if pos <= 0.0:
+                break
+        y = Y - used_fill
+        drain.append(x)
+        fill.append(y)
+        soc = min(max(soc - x + y, 0.0), span)
+    return val, drain, fill

@@ -260,6 +260,17 @@ def _word_in_demands(tmp_path):
     return cfg
 
 
+def _model_with(**sections):
+    """Bridge experiment whose model file has these top-level sections."""
+    def make(tmp_path):
+        cfg = _bridge_experiment(tmp_path)
+        model = yaml.safe_load((tmp_path / "m.yaml").read_text())
+        model.update(sections)
+        (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
+        return cfg
+    return make
+
+
 @pytest.mark.parametrize("make_config", [
     _yaml_syntax_error,
     lambda tmp_path: _experiment(tmp_path, model=5),
@@ -267,7 +278,13 @@ def _word_in_demands(tmp_path):
     lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": "lots", "honest": [1]}),
     _word_for_kappa,
     _word_in_demands,
-], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word"])
+    _model_with(users=7),
+    _model_with(horizon=24),
+    lambda tmp_path: _experiment(tmp_path, forecast=5),
+    lambda tmp_path: _experiment(tmp_path, scenarios=["u1"]),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo=5),
+], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word",
+        "users_7", "horizon_24", "forecast_5", "scenarios_list", "monte_carlo_5"])
 def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     out = tmp_path / "out"
     assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2

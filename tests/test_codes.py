@@ -17,7 +17,7 @@ from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolatio
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
 from gridbargain.scheduling import _storage_lp
-from _oracles import cumulative_storage_lp
+from _oracles import cumulative_storage_lp, two_segment_storage_dp
 
 
 def _tol(cost, config=None):
@@ -264,6 +264,25 @@ def test_storage_dp_matches_highs(program):
     assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(storage_programs())
+def test_local_step_is_the_two_segment_dp_bit_for_bit(program):
+    """The general DP, given the local step's two segments per hour,
+    answers exactly as the two-segment DP did, ties and alpha + beta < 0
+    included: the distributed round counts depend on every bit."""
+    desd, T, dt, unit, lam = program
+    local = _UserLocal(desd, T, dt, p_max=10.0)
+    kappa = desd.kappa
+    args = (((unit - lam) * kappa).tolist(), ((unit + lam) / kappa).tolist(),
+            desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
+            desd.e_max - desd.e_min, desd.e0 - desd.e_min)
+    value, x, y = two_segment_storage_dp(*args, True)
+    discharge, charge = local.solve(unit, lam)
+    assert np.array_equal(discharge, np.array(x) * (kappa / dt))
+    assert np.array_equal(charge, np.array(y) / (kappa * dt))
+    assert local.value(unit, lam) == two_segment_storage_dp(*args, False)[0] == value
+
+
 def test_storage_dp_bridge_by_hand():
     """Fill fully in the cheap hour, sell it all in the dear one.
 
@@ -303,6 +322,20 @@ def test_storage_dp_rejects_non_finite_prices():
             local.value(np.zeros(2), lam)
 
 
+def test_rebalance_step_without_a_schedule_stalls():
+    """The round-robin rebalance catches SolverStall only, so an
+    imbalance beyond the battery and grid ratings must raise that.
+    Within them, hour 1 drains the battery fully (saving 10 c/kWh) and
+    hour 2 stores only the 0.5 kW the grid cannot take."""
+    desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0)
+    local = _UserLocal(desd, 2, 1.0, p_max=3.0)
+    tariff = np.full(2, 10.0), np.full(2, 5.0)
+    discharge, charge = local.social_response(np.zeros(2), *tariff, np.array([3.5, -3.5]))
+    np.testing.assert_allclose(discharge - charge, [1.0, -0.5], atol=1e-12)
+    with pytest.raises(SolverStall):
+        local.social_response(np.zeros(2), *tariff, np.array([4.5, 0.0]))
+
+
 def test_non_finite_rg_profile_rejected(reference_model):
     rg = {"u1": np.full(24, np.nan)}
     with pytest.raises(InvariantViolation, match="finite"):
@@ -315,8 +348,8 @@ def test_wrong_shape_rg_profile_rejected(reference_model):
 
 
 def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorable_rg):
-    """Each user's cleanup and rebalance LPs are assembled once, not per
-    call, and every reuse answers exactly as a freshly built LP would."""
+    """Each user's cleanup LP is assembled once, not per call, and every
+    cleanup and rebalance answers exactly as a fresh local would."""
     built = []
 
     def counting(*args, **kwargs):
@@ -335,7 +368,7 @@ def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorabl
 
     run_codes(reference_model, favorable_rg)
     n_active = sum(u.is_active for u in reference_model.users)
-    assert len(built) <= 2 * n_active
+    assert len(built) == n_active  # the cleanup LP; the rebalance is a DP
     names = [name for name, *_ in solves]
     assert names.count("min_throughput") == n_active and "social_response" in names
 

@@ -24,8 +24,8 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          trading_cost, validate_model)
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
-from gridbargain.scheduling import (FEAS_TOL, _forced_exchange, _linprog_input, _lp_keywords,
-                                    _solve_lp, _storage_lp)
+from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _forced_exchange,
+                                    _linprog_input, _lp_keywords, _solve_lp, _storage_lp)
 from _oracles import cumulative_storage_lp
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
@@ -214,6 +214,11 @@ def test_infeasible_when_grid_too_small():
         demands=np.full((1, 3), 2.0), prices=FLAT3, grid=GridLimits(0.5)))
     with pytest.raises(Infeasible):
         solve_social(m)
+    # with a battery: 2.5 kW in hour 2 is past the 1 kW grid plus 1 kW battery
+    user = UserSpec("a", desd=DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0))
+    with pytest.raises(Infeasible):
+        solve_individual(user, np.array([0.5, 2.5, 0.0]), FLAT3, GridLimits(1.0),
+                         Horizon(steps=3, dt=1.0))
 
 
 def test_individual_passive_is_forced_purchase(rng):
@@ -495,7 +500,8 @@ _LAYOUTS = ("pooled", "solo", "cleanup", "rebalance")
 
 
 def _ports(layout, batteries, grid=(12.0, None)):
-    """The port lists of the package's storage LPs: pooled, solo, cleanup, rebalance."""
+    """Port lists: the pooled and cleanup LPs, and the one-battery-plus-grid
+    program (solo, rebalance) that the DP now solves."""
     batteries = [(d.p_b_max, d) for d in batteries]
     return {"pooled": [grid] + batteries, "solo": [grid, batteries[0]],
             "cleanup": [batteries[-1]], "rebalance": [batteries[-1], grid]}[layout]
@@ -592,3 +598,98 @@ def test_pooled_lp_assembly_memory():
     assert lp["A_eq"].shape == (T * (n_active + 1), 2 * T * (n_active + 1) + T * n_active)
     assert lp["A_eq"].nnz == 2 * T * (n_active + 1) + n_active * (4 * T - 1)
     assert peak < 10e6  # ~2.6 MB measured
+
+
+# ------------------------------------------ one battery and the grid, by DP
+
+@st.composite
+def _battery_grid_programs(draw):
+    """One battery and the grid, as in a solo schedule or a rebalance step.
+
+    The net load reaches past the grid rating both ways, sometimes past
+    what the battery can add, so a share of the draws is infeasible.
+    Days of surplus just past the rating fill the battery, after which,
+    with kappa < 1, it charges and discharges at once; at kappa one ulp
+    below 1 that ray takes next to nothing.
+    Buy prices repeat, and sell may tie or exceed buy.
+    """
+    T = draw(st.sampled_from([1, 2, 24, 96]) | st.integers(1, 96))
+    dt = draw(st.sampled_from([0.25, 1.0]) | st.floats(0.1, 2.0))
+    e_max = draw(st.floats(0.5, 20.0))
+    e_min = draw(st.just(0.0) | st.floats(0.0, e_max))
+    e0 = draw(st.sampled_from([e_min, e_max]) | st.floats(e_min, e_max))
+    desd = DesdParams(e0=e0, e_min=e_min, e_max=e_max, p_b_max=draw(st.floats(0.1, 6.0)),
+                      kappa=draw(st.sampled_from([1.0, np.nextafter(1.0, 0.0)])
+                                 | st.floats(0.5, 1.0)))
+    p_g_max = draw(st.floats(0.2, 10.0))
+    costs = st.floats(0.0, 5.0)
+    unit = draw(costs.map(lambda c: np.full(T, c))
+                | st.lists(costs, min_size=T, max_size=T).map(np.array))
+    buy = np.array(draw(st.lists(st.sampled_from([10.0, 30.0]) | st.floats(0.0, 40.0),
+                                 min_size=T, max_size=T)))
+    ratio = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.5)
+    sell = buy * np.array(draw(st.lists(ratio, min_size=T, max_size=T)))
+    reach = draw(st.sampled_from([0.5, 0.95, 1.2]) | st.floats(0.0, 1.4))
+    # a surplus just past the rating, which a full battery with kappa < 1
+    # can only take by charging and discharging at once
+    burn = (1.0 - desd.kappa ** 2) * desd.p_b_max
+    surplus = st.floats(0.0, 0.5).map(lambda f: -p_g_max - f * burn)
+    step = st.floats(-1.0, 1.0).map(lambda f: f * reach * (p_g_max + desd.p_b_max))
+    net = np.array(draw(st.lists(surplus if draw(st.booleans()) else step | surplus,
+                                 min_size=T, max_size=T)))
+    return desd, T, dt, unit, PriceProfile(buy=buy, sell=sell), net, p_g_max, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_battery_grid_programs())
+def test_battery_and_grid_dp_matches_highs(program):
+    """Same feasibility verdict and optimum as HiGHS on the cumulative layout."""
+    desd, T, dt, unit, prices, net, p_g_max, refill_terminal = program
+    ports = [(p_g_max, None), (desd.p_b_max, desd)]
+    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, refill_terminal)
+    c = np.concatenate([prices.buy, -prices.sell, unit, unit]) * dt
+    bounds = [(0.0, p_g_max)] * (2 * T) + [(0.0, desd.p_b_max)] * (2 * T)
+    oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=net, bounds=bounds,
+                     method="highs",
+                     options={"dual_feasibility_tolerance": 1e-10,
+                              "primal_feasibility_tolerance": 1e-10})
+    sched = _battery_and_grid(desd, unit, prices.buy, prices.sell, net, p_g_max, dt,
+                              refill_terminal)
+    assert oracle.status in (0, 2)
+    assert (sched is None) == (oracle.status == 2)
+    if sched is None:
+        return
+
+    value, discharge, charge = sched
+    grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
+    x = np.concatenate([*_forced_exchange(grid, prices, p_g_max, "dp"), discharge, charge])
+    tol = 1e-9 * max(1.0, abs(oracle.fun))
+    assert abs(float(c @ x) - oracle.fun) <= tol
+    assert abs(value - oracle.fun) <= tol
+    assert np.all(np.abs(A_eq @ x - net) <= 1e-9)
+    assert np.all(A_ub @ x <= b_ub + 1e-9)
+    hi = np.array([cap for _, cap in bounds])
+    assert np.all(x >= -1e-9) and np.all(x <= hi + 1e-9)
+
+
+def test_battery_and_grid_burns_a_surplus_beyond_the_grid_rating():
+    """A full battery takes a surplus the grid cannot, by charging and
+    discharging at once: kappa = 0.8 loses 1/kappa - kappa = 0.45 kWh
+    per kWh cycled, so 0.9 kW over the 1 kW rating needs 2 kWh each way,
+    and nothing cheaper is feasible."""
+    desd = DesdParams(e0=5.0, e_min=0.0, e_max=5.0, p_b_max=3.0, kappa=0.8)
+    flat = PriceProfile(buy=np.full(1, 10.0), sell=np.full(1, 5.0))
+    value, discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
+                                                 np.array([-1.9]), 1.0, 1.0)
+    np.testing.assert_allclose(discharge, [1.6], atol=1e-12)
+    np.testing.assert_allclose(charge, [2.5], atol=1e-12)
+    assert value == pytest.approx(1.6 + 2.5 - 5.0, abs=1e-12)  # wear, less 1 kW sold
+    assert _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
+                             np.array([-2.2]), 1.0, 1.0) is None
+    # One ulp below kappa = 1 the ray would burn 4.5e15 kWh per kWh of
+    # SOC drop; an empty battery just stores what the grid cannot take.
+    desd = DesdParams(e0=0.0, e_min=0.0, e_max=2.0, p_b_max=5.0, kappa=np.nextafter(1.0, 0.0))
+    _, discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
+                                             np.array([-5.7]), 1.0, 0.25)
+    assert discharge[0] == 0.0
+    assert charge[0] == pytest.approx(4.7, abs=1e-12)
