@@ -62,13 +62,6 @@ def _parse_honest(text):
     return idx
 
 
-def _codes_config(overrides):
-    try:
-        return codes.CodesConfig(**overrides)
-    except TypeError as exc:
-        raise InvariantViolation([f"codes overrides: {exc}"])
-
-
 def _out_dir(args, config):
     out = args.out or (config.out_dir if config else None) or "out"
     os.makedirs(out, exist_ok=True)
@@ -98,15 +91,14 @@ def _load_bundle(args):
     return config, model, pools, rg
 
 
-def _schedule(model, rg, config, solver, seed):
+def _schedule(model, rg, config, solver):
     """Run one solver; returns (outcome, report fragment, codes run or None, seconds)."""
     t0 = time.perf_counter()
     if solver == "centralized":
         outcome, run = scheduling.solve_social(model, rg), None
         extra = {"outer_iterations": outcome.outer_iterations}
     else:
-        cfg = _codes_config(config.codes_overrides if config else {})
-        run = codes.run_codes(model, rg, config=cfg, seed=seed)
+        run = codes.run_codes(model, rg, config=config.codes)
         outcome = run.outcome
         extra = {"iterations": run.iterations, "converged": run.converged,
                  "certified_gap": run.gap}
@@ -162,11 +154,11 @@ def cmd_schedule(args):
     config, model, pools, rg = _load_bundle(args)
     solver = args.solver or config.solver
     out = _out_dir(args, config)
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver, config.seed)
+    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
     timings = {"schedule_s": elapsed}
     if args.verify_oracle:
         other = "centralized" if solver == "distributed" else "distributed"
-        _, frag2, run2, elapsed2 = _schedule(model, rg, config, other, config.seed)
+        _, frag2, run2, elapsed2 = _schedule(model, rg, config, other)
         frag["oracle_solver"] = other
         frag["oracle_j_soc"] = frag2["j_soc"]
         frag["cost_gap"] = frag["j_soc"] - frag2["j_soc"]
@@ -198,7 +190,7 @@ def _bargain_inputs(args):
         raise InvariantViolation(["give an experiment config or --d-vector/--jsoc"])
     config, model, pools, rg = _load_bundle(args)
     solver = getattr(args, "solver", None) or config.solver
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver, config.seed)
+    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
     if run is not None and not run.converged:
         raise NoConvergence(
             f"distributed schedule left a gap of {run.gap:.4f} cents")
@@ -211,13 +203,11 @@ def _bargain_inputs(args):
 
 def _gamma_sweep_csv(out, d, j_soc, sweep):
     """Lattice of gamma vectors -> success flag and discount, as CSV."""
-    users = [int(i) for i in sweep["users"]]
+    users = sweep["users"]
     r = d.shape[0]
     if any(i < 1 or i > r for i in users):
         raise InvariantViolation([f"gamma_sweep.users must be within 1..{r}"])
-    num = int(sweep["num"])
-    high = float(sweep.get("max", 1.0))
-    axes = [np.linspace(0.0, high, num)] * len(users)
+    axes = [np.linspace(0.0, sweep["max"], sweep["num"])] * len(users)
     grid = np.meshgrid(*axes, indexing="ij")
     rows = []
     for combo in zip(*(g.ravel() for g in grid)):
@@ -324,7 +314,7 @@ def cmd_report(args):
     if rg is not None:
         forecast_index = _write_forecast(out, model, rg)
 
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver, config.seed)
+    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
     timings["schedule_s"] = elapsed
     if run is not None and not run.converged:
         log.error("distributed solver left a gap of %.4f cents", run.gap)

@@ -10,25 +10,31 @@ supply-demand mismatch. A synchronous round is:
    current price copy. Users solve their storage program exactly with
    an O(T^2) dynamic program over the convex piecewise-linear value of
    stored energy, no LP solver involved (lazily: a fresh solve only
-   once their price copy has moved). Where several schedules are
-   optimal the DP picks the one ending each hour at the higher state
-   of charge, which the round counts depend on. The grid ramps its
-   exchange toward profitability, a damped best response that keeps
-   the network signal smooth.
+   once their price copy has moved by LAZY_TOL). Where several
+   schedules are optimal the DP picks the one ending each hour at the
+   higher state of charge, which the round counts depend on. The grid
+   ramps its exchange toward profitability (GRID_RAMP), a damped best
+   response that keeps the network signal smooth.
 2. exchange: the agent sends neighbors its price copy and mismatch
    tracker, nothing else.
 3. update: price copies are averaged with Metropolis weights and nudged
-   by a diminishing step a/(k+b) times the mismatch tracker
+   by a diminishing step STEP_A/(k+STEP_B) times the mismatch tracker
    (innovation); trackers are averaged and corrected by the change in
    the agent's own imbalance, which keeps their network sum equal to
    the true instantaneous mismatch.
+
+The state of all agents is held as (r+1, T) arrays, row i for user i
+and row r for the grid: ``lam`` (price copies), ``M`` (trackers) and
+``R`` (own imbalances), so the tracker update is M = W M + R - R_old.
 
 Price oscillation is smoothed by tail averaging (accumulators restart
 at geometrically growing rounds, so averages cover roughly the trailing
 half). The candidate schedule is the tail-averaged user schedules with
 the grid absorbing the leftover imbalance; its cost minus the dual
 value of the tail-averaged network price is a certified optimality gap,
-and the run stops once that certificate meets the cost tolerance. When
+and the run stops once that certificate meets the cost tolerance.
+SOC-dependent unit costs are re-looked-up on the averaged trajectories
+every RELINEARIZE_EVERY rounds, which restarts the certificate. When
 the gap is close or the rounds run out, a round-robin rebalance lets
 each user in turn re-solve against the true tariff together with the
 grid. Each of those best responses, one battery plus the grid, is the exact
@@ -39,13 +45,14 @@ charge/discharge the averaging introduced. That is the only LP
 port alone, with the state of charge as a column per step, built once
 per run for each user.
 
-The routine is deterministic for a given (model, config, seed); the
-seed only feeds the optional initial price jitter and is recorded.
+The routine is deterministic: a given (model, rg, config) gives the
+same result bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +68,6 @@ from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid
 __all__ = [
     "CodesConfig",
     "RoundMessage",
-    "AgentState",
     "CodesRun",
     "run_codes",
     "convergence_trace",
@@ -71,47 +77,42 @@ __all__ = [
 
 GRID_AGENT = "grid"
 
+STEP_A, STEP_B = 1.0, 10.0  # diminishing price step STEP_A / (k + STEP_B)
+GRID_RAMP = 4.0  # grid damping: cents of price incentive per kW of response per round
+LAZY_TOL = 0.02  # price movement (cents/kWh) that triggers a fresh user solve
+RELINEARIZE_EVERY = 100  # rounds between re-lookups of SOC-dependent unit costs
+RESIDUAL_TOL = 1e-6  # kW of imbalance the grid patch may leave
+DUAL_TOL = 1e-3  # price spread across agents that the final polish must reach
+
 
 @dataclass(frozen=True)
 class CodesConfig:
-    """Knobs for the distributed run.
+    """Budget and stopping rule of the distributed run.
 
-    step_a/step_b set the diminishing step a/(k+b). The cost tolerance
-    is max(cost_tol_abs cents, cost_tol_rel * |cost|); residual_tol
-    bounds the kW of imbalance the grid patch may leave; dual_tol is
-    the price agreement required across agents at termination.
-    grid_ramp is the grid agent's damping (kW of response per cent of
-    price incentive per round); lazy_tol is the price movement that
-    triggers a fresh user solve.
+    The run stops once the certified gap is within max(cost_tol_abs
+    cents, cost_tol_rel * |cost|), checked every check_every rounds, or
+    after max_rounds. record_messages keeps every message put on the
+    bus. The algorithm's own settings are the module constants above.
     """
 
-    step_a: float = 1.0
-    step_b: float = 10.0
     max_rounds: int = 6000
     check_every: int = 25
     cost_tol_abs: float = 0.1
     cost_tol_rel: float = 1e-3
-    residual_tol: float = 1e-6
-    dual_tol: float = 1e-3
-    grid_ramp: float = 4.0
-    lazy_tol: float = 0.02
     record_messages: bool = False
-    init_jitter: float = 0.0
-    relinearize_every: int = 100
 
     def __post_init__(self):
         bad = []
-        if not self.step_a > 0:
-            bad.append(f"step_a must be > 0, got {self.step_a}")
-        if not self.step_b >= 1:
-            bad.append(f"step_b must be >= 1, got {self.step_b}")
-        for name in ("cost_tol_abs", "cost_tol_rel", "residual_tol", "dual_tol"):
-            if not getattr(self, name) > 0:
-                bad.append(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.max_rounds < 1 or self.check_every < 1:
-            bad.append("max_rounds and check_every must be >= 1")
-        if self.grid_ramp <= 0 or self.lazy_tol < 0:
-            bad.append("grid_ramp must be > 0 and lazy_tol >= 0")
+        for name in ("cost_tol_abs", "cost_tol_rel"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                bad.append(f"{name} must be a number > 0, got {value!r}")
+        for name in ("max_rounds", "check_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                bad.append(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.record_messages, bool):
+            bad.append(f"record_messages must be true or false, got {self.record_messages!r}")
         if bad:
             raise InvariantViolation(bad)
 
@@ -131,22 +132,6 @@ class RoundMessage:
     mismatch: np.ndarray
 
 
-@dataclass
-class AgentState:
-    """Private, per-agent working state (never serialized onto the bus)."""
-
-    agent_id: str
-    dual_prices: np.ndarray
-    mismatch: np.ndarray
-    residual: np.ndarray  # own current contribution to imbalance, kW
-    discharge: np.ndarray | None = None
-    charge: np.ndarray | None = None
-    avg_discharge: np.ndarray | None = None
-    avg_charge: np.ndarray | None = None
-    avg_count: int = 0
-    solved_at: np.ndarray | None = None  # price copy of the last fresh solve
-
-
 @dataclass(frozen=True)
 class CodesRun:
     outcome: SocialScheduleOutcome
@@ -157,7 +142,6 @@ class CodesRun:
     trace: np.ndarray  # (checks, 3): round, certified gap, patch residual kW
     final_duals: np.ndarray  # (agents, T) prices at termination
     messages: list | None = None
-    seed: int | None = None
 
 
 class _UserLocal:
@@ -233,7 +217,7 @@ def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
     return q
 
 
-def run_codes(model, rg=None, config=None, seed=None):
+def run_codes(model, rg=None, config=None):
     """Distributed social schedule; see the module docstring.
 
     Returns a CodesRun whose outcome mirrors ``solve_social``. Running
@@ -249,76 +233,74 @@ def run_codes(model, rg=None, config=None, seed=None):
     p_max = model.grid.p_g_max
 
     rg_prof = _rg_profiles(rg, model.users, T)
-
     netload = model.demands.sum(axis=0) - sum(rg_prof.values())
     W = metropolis_weights(model.graph, n)
 
     active = [u for u in model.users if u.is_active]
+    rows = {u.id: model.user_index(u.id) for u in active}
     locals_ = {u.id: _UserLocal(u.desd, T, dt, p_max) for u in active}
     units = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
              for u in active}
     all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
+    senders = [u.id for u in model.users] + [GRID_AGENT]
 
-    lam0 = 0.5 * (pb + ps)
-    lam = np.tile(lam0, (n, 1))
-    if config.init_jitter > 0.0:
-        jit = np.random.default_rng(seed).uniform(
-            -config.init_jitter, config.init_jitter, size=lam.shape)
-        lam = np.clip(lam + jit, 0.0, None)
+    # Row i is user i and row r the grid: price copies lam, mismatch
+    # trackers M and each agent's own imbalance R, kW. The grid starts
+    # idle and ramps its exchange (buy, sell) from there.
+    lam = np.tile(0.5 * (pb + ps), (n, 1))
     lam_hi = 1.5 * float(pb.max()) + 1.0
+    R = np.zeros((n, T))
+    for i, u in enumerate(model.users):
+        R[i] = model.demands[i] - rg_prof[u.id]
+    user_net = {uid: R[i].copy() for uid, i in rows.items()}  # demand minus generation
+    buy, sell = np.zeros(T), np.zeros(T)
 
-    # Round 0 local step seeds the residuals and trackers. The grid
-    # starts idle and ramps from there.
-    states = []
-    for k, u in enumerate(model.users):
-        st = AgentState(agent_id=u.id, dual_prices=lam[k].copy(),
-                        mismatch=np.zeros(T), residual=np.zeros(T))
-        if u.is_active:
-            st.discharge, st.charge = locals_[u.id].solve(units[u.id], lam[k])
-            st.avg_discharge, st.avg_charge = st.discharge.copy(), st.charge.copy()
-            st.avg_count = 1
-            st.solved_at = lam[k].copy()
-        st.residual = model.demands[k] - rg_prof[u.id] - (
-            (st.discharge - st.charge) if u.is_active else np.zeros(T))
-        st.mismatch = st.residual.copy()
-        states.append(st)
-    gst = AgentState(agent_id=GRID_AGENT, dual_prices=lam[r].copy(),
-                     mismatch=np.zeros(T), residual=np.zeros(T),
-                     discharge=np.zeros(T), charge=np.zeros(T))
-    states.append(gst)
+    # Round 0 local step seeds the imbalances and trackers. Each active
+    # user keeps its last schedule, the price copy it was solved at and
+    # the tail-average sums (discharge, charge); all users restart their
+    # sums together, so they share avg_count.
+    sched, solved_at, acc = {}, {}, {}
+    for uid, i in rows.items():
+        sched[uid] = locals_[uid].solve(units[uid], lam[i])
+        solved_at[uid] = lam[i]
+        acc[uid] = np.array(sched[uid])
+        R[i] = user_net[uid] - (sched[uid][0] - sched[uid][1])
+    avg_count = 1
+    M = R.copy()
 
-    M = np.vstack([st.mismatch for st in states])
     messages = [] if config.record_messages else None
-
-    lam_net_acc = lam.mean(axis=0)
-    lam_net_cnt = 1
-    best_q = -np.inf
-    best_cost = np.inf
+    lam_net_acc, lam_net_cnt = lam.mean(axis=0), 1  # tail average of the network price
+    best_q, best_cost = -np.inf, np.inf
     best = None  # (avg schedules, patch) snapshot at best_cost
     rebalanced_from = None
     trace = []
-    gain = float(n)
     next_restart = 64
     converged = False
     rounds_done = 0
 
+    def record(iteration):
+        for i, sender in enumerate(senders):
+            messages.append(RoundMessage(sender=sender, iteration=iteration,
+                                         dual_prices=lam[i].copy(), mismatch=M[i].copy()))
+
     def tol_for(cost):
         return max(config.cost_tol_abs, config.cost_tol_rel * abs(cost))
 
+    def patch(g, d, c):
+        """The grid's patch of imbalance g, its residual, and the cost of (d, c) with it."""
+        gb, gs = np.clip(g, 0.0, p_max), np.clip(-g, 0.0, p_max)
+        cost = trading_cost(model.prices, gb, gs, dt)
+        for uid in d:
+            cost += float(np.sum(units[uid] * (d[uid] + c[uid])) * dt)
+        return gb, gs, float(np.max(np.abs(g - (gb - gs)))), cost
+
     def candidate():
         """Feasible schedule from tail averages plus a grid patch."""
-        avg_d, avg_c = {}, {}
-        for u in active:
-            st = states[model.user_index(u.id)]
-            avg_d[u.id] = np.clip(st.avg_discharge / st.avg_count, 0.0, u.desd.p_b_max)
-            avg_c[u.id] = np.clip(st.avg_charge / st.avg_count, 0.0, u.desd.p_b_max)
-        g = netload - sum((avg_d[u.id] - avg_c[u.id] for u in active), np.zeros(T))
-        gb, gs = np.clip(g, 0.0, p_max), np.clip(-g, 0.0, p_max)
-        resid = float(np.max(np.abs(g - (gb - gs)))) if T else 0.0
-        cost = trading_cost(model.prices, gb, gs, dt)
-        for u in active:
-            cost += float(np.sum(units[u.id] * (avg_d[u.id] + avg_c[u.id])) * dt)
-        return avg_d, avg_c, gb, gs, resid, cost
+        avg = {u.id: np.clip(acc[u.id] / avg_count, 0.0, u.desd.p_b_max) for u in active}
+        avg_d = {uid: a[0] for uid, a in avg.items()}
+        avg_c = {uid: a[1] for uid, a in avg.items()}
+        g = netload - sum((avg_d[uid] - avg_c[uid] for uid in rows), np.zeros(T))
+        return (avg_d, avg_c, *patch(g, avg_d, avg_c))
 
     def rebalance(d0, c0):
         """Round-robin exact best responses against the true tariff.
@@ -330,88 +312,57 @@ def run_codes(model, rg=None, config=None, seed=None):
         pass only needs the aggregate of the others, which is what the
         mismatch tracker already circulates.
         """
-        d = {u.id: d0[u.id].copy() for u in active}
-        c = {u.id: c0[u.id].copy() for u in active}
-        inj = sum((d[u.id] - c[u.id] for u in active), np.zeros(T))
+        d, c = dict(d0), dict(c0)
+        inj = sum((d[uid] - c[uid] for uid in rows), np.zeros(T))
         prev = np.inf
         out = None
         for _ in range(3):
-            for u in active:
-                own = d[u.id] - c[u.id]
-                nd, nc = locals_[u.id].social_response(
-                    units[u.id], pb, ps, netload - (inj - own))
-                inj += (nd - nc) - own
-                d[u.id], c[u.id] = nd, nc
-            g = netload - inj
-            gb, gs = np.clip(g, 0.0, p_max), np.clip(-g, 0.0, p_max)
-            cost = trading_cost(model.prices, gb, gs, dt)
-            for u in active:
-                cost += float(np.sum(units[u.id] * (d[u.id] + c[u.id])) * dt)
+            for uid in rows:
+                own = d[uid] - c[uid]
+                d[uid], c[uid] = locals_[uid].social_response(
+                    units[uid], pb, ps, netload - (inj - own))
+                inj += (d[uid] - c[uid]) - own
+            gb, gs, resid, cost = patch(netload - inj, d, c)
             if cost > prev - 1e-6:
                 break
             prev = cost
-            resid = float(np.max(np.abs(g - (gb - gs)))) if T else 0.0
-            out = ({k_: v.copy() for k_, v in d.items()},
-                   {k_: v.copy() for k_, v in c.items()}, gb, gs, resid, cost)
+            out = (dict(d), dict(c), gb, gs, resid, cost)
         return out
 
     for k in range(1, config.max_rounds + 1):
         rounds_done = k
-        if config.record_messages:
-            for st in states:
-                messages.append(RoundMessage(
-                    sender=st.agent_id, iteration=k,
-                    dual_prices=st.dual_prices.copy(), mismatch=st.mismatch.copy(),
-                ))
+        if messages is not None:
+            record(k)
 
-        step = config.step_a / (k + config.step_b)
-        lam = np.clip(W @ np.vstack([st.dual_prices for st in states])
-                      + step * gain * M, 0.0, lam_hi)
-        M_mixed = W @ M
+        step = STEP_A / (k + STEP_B)
+        lam = np.clip(W @ lam + step * n * M, 0.0, lam_hi)
+        R_old = R.copy()
         restart = k >= next_restart
         if restart:
             next_restart *= 2
+            acc = {uid: np.zeros((2, T)) for uid in rows}
+            avg_count = 0
+            lam_net_acc, lam_net_cnt = np.zeros(T), 0
 
-        for idx, st in enumerate(states):
-            st.dual_prices = lam[idx]
-            old_res = st.residual
-            if st.agent_id == GRID_AGENT:
-                st.discharge = np.clip(
-                    st.discharge + (lam[idx] - pb) / config.grid_ramp, 0.0, p_max)
-                st.charge = np.clip(
-                    st.charge + (ps - lam[idx]) / config.grid_ramp, 0.0, p_max)
-                st.residual = -(st.discharge - st.charge)
-            elif st.agent_id in locals_:
-                if (st.solved_at is None
-                        or float(np.max(np.abs(lam[idx] - st.solved_at))) > config.lazy_tol):
-                    st.discharge, st.charge = locals_[st.agent_id].solve(
-                        units[st.agent_id], lam[idx])
-                    st.solved_at = lam[idx].copy()
-                st.residual = (model.demands[idx] - rg_prof[st.agent_id]
-                               - (st.discharge - st.charge))
-                if restart:
-                    st.avg_discharge = np.zeros(T)
-                    st.avg_charge = np.zeros(T)
-                    st.avg_count = 0
-                st.avg_discharge += st.discharge
-                st.avg_charge += st.charge
-                st.avg_count += 1
-            st.mismatch = M_mixed[idx] + st.residual - old_res
-        M = np.vstack([st.mismatch for st in states])
-
-        if restart:
-            lam_net_acc = np.zeros(T)
-            lam_net_cnt = 0
+        buy = np.clip(buy + (lam[r] - pb) / GRID_RAMP, 0.0, p_max)
+        sell = np.clip(sell + (ps - lam[r]) / GRID_RAMP, 0.0, p_max)
+        R[r] = -(buy - sell)
+        for uid, i in rows.items():
+            if float(np.max(np.abs(lam[i] - solved_at[uid]))) > LAZY_TOL:
+                sched[uid] = locals_[uid].solve(units[uid], lam[i])
+                solved_at[uid] = lam[i]
+            R[i] = user_net[uid] - (sched[uid][0] - sched[uid][1])
+            acc[uid] += sched[uid]
+        avg_count += 1
+        M = W @ M + R - R_old
         lam_net_acc += lam.mean(axis=0)
         lam_net_cnt += 1
 
         if k % config.check_every == 0 or k == config.max_rounds:
-            if not all_constant and k % config.relinearize_every == 0:
+            if not all_constant and k % RELINEARIZE_EVERY == 0:
                 changed = False
                 for u in active:
-                    st = states[model.user_index(u.id)]
-                    soc = soc_trajectory(u.desd, st.avg_discharge / st.avg_count,
-                                         st.avg_charge / st.avg_count, dt)
+                    soc = soc_trajectory(u.desd, *(acc[u.id] / avg_count), dt)
                     new = np.asarray(u.desd.bdc.unit_cost(
                         np.clip(soc, u.desd.e_min, u.desd.e_max) / u.desd.e_max),
                         dtype=float)
@@ -433,7 +384,7 @@ def run_codes(model, rg=None, config=None, seed=None):
             q1 = _dual_value(lam_tail, netload, pb, ps, p_max, dt, locals_, units)
             q2 = _dual_value(lam_snap, netload, pb, ps, p_max, dt, locals_, units)
             best_q = max(best_q, q1, q2)
-            if cost < best_cost and resid <= config.residual_tol:
+            if cost < best_cost and resid <= RESIDUAL_TOL:
                 best_cost = cost
                 best = (avg_d, avg_c, gb, gs, resid)
             gap = best_cost - best_q
@@ -447,7 +398,7 @@ def run_codes(model, rg=None, config=None, seed=None):
                 except SolverStall:
                     better = None
                 if (better is not None and better[5] < best_cost
-                        and better[4] <= config.residual_tol):
+                        and better[4] <= RESIDUAL_TOL):
                     best = better[:5]
                     best_cost = better[5]
                     rebalanced_from = best
@@ -463,18 +414,12 @@ def run_codes(model, rg=None, config=None, seed=None):
 
     # Price agreement polish: plain averaging, no innovation.
     polish = 0
-    while polish < 2000 and float(np.max(lam.max(axis=0) - lam.min(axis=0))) > config.dual_tol:
+    while polish < 2000 and float(np.max(lam.max(axis=0) - lam.min(axis=0))) > DUAL_TOL:
         polish += 1
-        if config.record_messages:
-            for st in states:
-                messages.append(RoundMessage(
-                    sender=st.agent_id, iteration=rounds_done + polish,
-                    dual_prices=st.dual_prices.copy(), mismatch=st.mismatch.copy(),
-                ))
+        if messages is not None:
+            record(rounds_done + polish)
         lam = W @ lam
         M = W @ M
-        for idx, st in enumerate(states):
-            st.dual_prices, st.mismatch = lam[idx], M[idx]
 
     avg_d, avg_c, gb, gs, resid = best
     discharge, charge = {}, {}
@@ -491,7 +436,6 @@ def run_codes(model, rg=None, config=None, seed=None):
         iterations=rounds_done, gap=float(best_cost - best_q),
         trace=np.array(trace, dtype=float).reshape(-1, 3),
         final_duals=lam.copy(), messages=messages,
-        seed=None if seed is None else int(seed),
     )
 
 

@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
+from .codes import CodesConfig
 from .errors import FileError, InvariantViolation, KindMismatch
 from .model import (
     ConstantBdc,
@@ -160,6 +161,20 @@ def _number(kind, value, what):
         raise InvariantViolation([f"{what} must be a number, got {value!r}"])
 
 
+def _mapping(node, what):
+    """``node`` if it is a mapping, else InvariantViolation."""
+    if not isinstance(node, dict):
+        raise InvariantViolation([f"{what} must be a mapping, got {node!r}"])
+    return node
+
+
+def _integers(node, what):
+    """A YAML list of integers as a tuple, or InvariantViolation."""
+    if not isinstance(node, list):
+        raise InvariantViolation([f"{what} must be a list, got {node!r}"])
+    return tuple(_number(int, i, what) for i in node)
+
+
 def _bdc_from(node, uid):
     if node is None:
         return ConstantBdc(0.0)
@@ -173,12 +188,12 @@ def _bdc_from(node, uid):
 
 
 def _user_from(node):
-    if "id" not in node:
+    if "id" not in _mapping(node, "a user"):
         raise InvariantViolation(["every user needs an id"])
     uid = str(node["id"])
     desd = None
     if node.get("desd") is not None:
-        d = node["desd"]
+        d = _mapping(node["desd"], f"user {uid}: desd")
         try:
             desd = DesdParams(
                 **{f: _number(float, d[f], f"user {uid}: desd.{f}")
@@ -190,7 +205,7 @@ def _user_from(node):
             raise InvariantViolation([f"user {uid}: desd needs field {missing}"])
     rg = None
     if node.get("rg") is not None:
-        g = node["rg"]
+        g = _mapping(node["rg"], f"user {uid}: rg")
         kind = g.get("kind")
         if kind in ("pv", "wt"):
             rg = (Pv if kind == "pv" else Wt)(
@@ -234,7 +249,7 @@ def load_model(path):
     for key in ("horizon", "users", "prices", "demands"):
         if key not in raw:
             raise InvariantViolation([f"{path}: missing section {key!r}"])
-    horizon = Horizon(steps=_number(int, raw["horizon"]["steps"], "horizon.steps"),
+    horizon = Horizon(steps=_number(int, raw["horizon"].get("steps"), "horizon.steps"),
                       dt=_number(float, raw["horizon"].get("dt", 1.0), "horizon.dt"))
     users = tuple(_user_from(n) for n in raw["users"])
     prices = load_prices(_resolve(base, raw["prices"], "prices"), horizon.steps)
@@ -242,11 +257,12 @@ def load_model(path):
                            [u.id for u in users], horizon.steps)
     grid = None
     if raw.get("grid") is not None:
-        grid = GridLimits(p_g_max=_number(float, raw["grid"]["p_g_max"], "grid.p_g_max"))
+        grid = GridLimits(p_g_max=_number(float, raw["grid"].get("p_g_max"), "grid.p_g_max"))
     graph = None
     if raw.get("graph") is not None:
-        graph = tuple((_number(int, a, "graph"), _number(int, b, "graph"))
-                      for a, b in raw["graph"])
+        graph = tuple(_integers(edge, "graph edge") for edge in raw["graph"])
+        if any(len(edge) != 2 for edge in graph):
+            raise InvariantViolation([f"graph: every edge must be a pair, got {raw['graph']!r}"])
     return validate_model(MicrogridModel(
         horizon=horizon, users=users, demands=demands, prices=prices,
         grid=grid, graph=graph,
@@ -264,6 +280,9 @@ class ExperimentConfig:
 
     ``scenario_files`` maps user id to (csv path, kind). ``mc_honest``
     holds 1-based user positions, matching how reports number users.
+    ``codes`` is the distributed solver's CodesConfig and
+    ``consensus_overrides`` the settlement's ``tol`` and ``max_iter``,
+    both checked here so that a bad field fails before any solve.
     """
 
     path: str
@@ -275,7 +294,7 @@ class ExperimentConfig:
     gamma: np.ndarray | None
     gamma_sweep: dict | None
     solver: str
-    codes_overrides: dict
+    codes: CodesConfig
     consensus_overrides: dict
     mc_samples: int
     mc_honest: tuple
@@ -296,6 +315,8 @@ def load_experiment(path):
 
     scenario_files = {}
     for uid, node in (raw.get("scenarios") or {}).items():
+        if "file" not in _mapping(node, f"scenario {uid}"):
+            raise InvariantViolation([f"scenario {uid} needs field 'file'"])
         f = _resolve(base, node["file"], f"scenario {uid}: file")
         if not os.path.isfile(f):
             raise FileError(f)
@@ -307,7 +328,10 @@ def load_experiment(path):
     forecast = None
     if raw.get("forecast") is not None:
         f = raw["forecast"]
-        forecast = WeatherForecast(solar=tuple(f["solar"]), wind=tuple(f["wind"]))
+        try:
+            forecast = WeatherForecast(solar=f.get("solar"), wind=f.get("wind"))
+        except (TypeError, ValueError) as exc:
+            raise InvariantViolation([f"forecast: {exc}"])
 
     weights = raw.get("weights", "random")
     if weights not in ("random", "equal"):
@@ -325,7 +349,12 @@ def load_experiment(path):
     if sweep is not None:
         for key in ("users", "num"):
             if key not in sweep:
-                problems.append(f"gamma_sweep needs field {key!r}")
+                raise InvariantViolation([f"gamma_sweep needs field {key!r}"])
+        sweep = {"users": _integers(sweep["users"], "gamma_sweep.users"),
+                 "num": _number(int, sweep["num"], "gamma_sweep.num"),
+                 "max": _number(float, sweep.get("max", 1.0), "gamma_sweep.max")}
+        if sweep["num"] < 1:
+            problems.append(f"gamma_sweep.num must be >= 1, got {sweep['num']}")
 
     solver = raw.get("solver", "centralized")
     if solver not in SOLVERS:
@@ -335,9 +364,27 @@ def load_experiment(path):
     mc_samples = _number(int, mc.get("samples", 0), "monte_carlo.samples")
     if mc_samples < 0:
         problems.append(f"monte_carlo.samples must be >= 0, got {mc_samples}")
-    mc_honest = tuple(_number(int, i, "monte_carlo.honest") for i in mc.get("honest", ()))
+    mc_honest = _integers(mc.get("honest", []), "monte_carlo.honest")
     if any(i < 1 for i in mc_honest):
         problems.append("monte_carlo.honest uses 1-based user positions")
+
+    try:
+        codes = CodesConfig(**(raw.get("codes") or {}))
+    except TypeError as exc:
+        raise InvariantViolation([f"codes: {exc}"])
+
+    consensus = dict(raw.get("consensus") or {})
+    unknown = [key for key in consensus if key not in ("tol", "max_iter")]
+    if unknown:
+        problems.append(f"consensus accepts only tol and max_iter, got {unknown}")
+    if "tol" in consensus:
+        consensus["tol"] = _number(float, consensus["tol"], "consensus.tol")
+        if not (np.isfinite(consensus["tol"]) and consensus["tol"] > 0.0):
+            problems.append(f"consensus.tol must be finite and > 0, got {consensus['tol']}")
+    if "max_iter" in consensus and not (isinstance(consensus["max_iter"], int)
+                                        and consensus["max_iter"] >= 1):
+        problems.append(f"consensus.max_iter must be an integer >= 1, "
+                        f"got {consensus['max_iter']!r}")
 
     if problems:
         raise InvariantViolation(problems)
@@ -347,8 +394,7 @@ def load_experiment(path):
         path=os.path.abspath(path), model_path=model_path,
         scenario_files=scenario_files, forecast=forecast, weights=weights,
         seed=seed, gamma=gamma, gamma_sweep=sweep,
-        solver=solver, codes_overrides=dict(raw.get("codes") or {}),
-        consensus_overrides=dict(raw.get("consensus") or {}),
+        solver=solver, codes=codes, consensus_overrides=consensus,
         mc_samples=mc_samples, mc_honest=mc_honest,
         mc_seed=_number(int, mc.get("seed", seed), "monte_carlo.seed"),
         out_dir=_resolve(base, raw["out_dir"], "out_dir") if raw.get("out_dir") else None,

@@ -45,7 +45,7 @@ optimal schedules may differ wherever the optimum is degenerate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -113,7 +113,7 @@ class SocialScheduleOutcome:
     bdc_costs: dict  # user_id -> cents
     social_cost: float
     soc: dict  # user_id -> kWh after each step
-    outer_iterations: int = 1
+    outer_iterations: int = 1  # linearizations solved (SOC-dependent costs take >= 2)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def _rg_profiles(rg, users, T):
     return out
 
 
-def _costed(active, grid_buy, grid_sell, discharge, charge, prices, dt, outer=1):
+def _costed(active, grid_buy, grid_sell, discharge, charge, prices, dt):
     """A pooled schedule with its SOC trajectories and true costs."""
     soc, bdc_costs = {}, {}
     for u in active:
@@ -245,7 +245,7 @@ def _costed(active, grid_buy, grid_sell, discharge, charge, prices, dt, outer=1)
     return SocialScheduleOutcome(
         decision=SocialDecision(grid_buy, grid_sell, discharge, charge),
         trading_cost=trade, bdc_costs=bdc_costs,
-        social_cost=trade + sum(bdc_costs.values()), soc=soc, outer_iterations=outer,
+        social_cost=trade + sum(bdc_costs.values()), soc=soc,
     )
 
 
@@ -513,7 +513,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
     prev_cost = None
     best = None
     for outer in range(1, MAX_OUTER + 1):
-        out = _costed(active, *solve(unit), prices, dt, outer)
+        out = _costed(active, *solve(unit), prices, dt)
         if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)
                or np.any(out.soc[u.id] > u.desd.e_max + FEAS_TOL) for u in active):
             raise SolverStall(f"{what}: SOC left its bounds")
@@ -526,12 +526,12 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
             best = out
         if all_constant or (prev_cost is not None
                             and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
-            return best
+            break
         prev_cost = cost
         unit = {u.id: np.asarray(u.desd.bdc.unit_cost(out.soc[u.id] / u.desd.e_max),
                                  dtype=float)
                 for u in active}
-    return best
+    return replace(best, outer_iterations=outer)
 
 
 def solve_social(model, rg=None, *, refill_terminal=False):

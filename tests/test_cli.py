@@ -283,8 +283,26 @@ def _model_with(**sections):
     lambda tmp_path: _experiment(tmp_path, forecast=5),
     lambda tmp_path: _experiment(tmp_path, scenarios=["u1"]),
     lambda tmp_path: _experiment(tmp_path, monte_carlo=5),
+    lambda tmp_path: _experiment(tmp_path, forecast={"solar": 5, "wind": [0.0, 0.3, 0.7, 0.0]}),
+    # loads with wind=None; the shipped wind pool then has no forecast
+    lambda tmp_path: _experiment(tmp_path, forecast={"solar": [0.8, 0.2, 0.0]}),
+    lambda tmp_path: _experiment(tmp_path, scenarios={"u1": {"kind": "pv"}}),
+    lambda tmp_path: _experiment(tmp_path, scenarios={"u1": 5}),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo={"honest": 5}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2], "num": "abc"}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": ["x"], "num": 3}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": 1, "num": 3}),
+    _model_with(users=[5]),
+    _model_with(horizon={"dt": 1.0}),
+    _model_with(grid={}),
+    _model_with(graph=[[0]]),
+    _model_with(users=[{"id": "u1", "rg": [1]}, {"id": "u2"}]),
+    _model_with(users=[{"id": "u1", "desd": [1]}, {"id": "u2"}]),
 ], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word",
-        "users_7", "horizon_24", "forecast_5", "scenarios_list", "monte_carlo_5"])
+        "users_7", "horizon_24", "forecast_5", "scenarios_list", "monte_carlo_5",
+        "forecast_solar_5", "forecast_no_wind", "scenario_no_file", "scenario_5", "honest_5",
+        "sweep_num_word", "sweep_users_word", "sweep_users_1", "user_5", "horizon_no_steps",
+        "grid_empty", "graph_edge_0", "rg_list", "desd_list"])
 def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     out = tmp_path / "out"
     assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
@@ -294,6 +312,27 @@ def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
 def test_exit_2_bad_codes_override(tmp_path):
     cfg = _bridge_experiment(tmp_path, bogus_knob=1)
     assert cli.main(["schedule", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("section", [
+    {"codes": {"grid_ramp": 2}},
+    {"codes": {"init_jitter": 0.1}},
+    {"codes": {"max_rounds": "many"}},
+    {"codes": {"record_messages": "no"}},
+    {"consensus": {"foo": 1}},
+    {"consensus": {"tol": "x"}},
+    {"consensus": {"tol": 0.0}},
+    {"consensus": {"max_iter": 0}},
+], ids=["grid_ramp", "init_jitter", "max_rounds_word", "record_messages_word", "consensus_foo",
+        "consensus_tol_word", "consensus_tol_0", "consensus_max_iter_0"])
+def test_exit_2_bad_codes_or_consensus_section_before_any_solve(tmp_path, section):
+    cfg = _bridge_experiment(tmp_path)
+    doc = yaml.safe_load((tmp_path / "e.yaml").read_text())
+    doc.update(section)
+    (tmp_path / "e.yaml").write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main(["report", cfg, "--out", str(out)]) == 2
+    assert not out.exists()  # the experiment was refused before any output or solve
 
 
 @pytest.mark.parametrize("solver", ["centralized", "distributed"])

@@ -41,10 +41,9 @@ def test_reference_instance_matches_oracle(reference_run, reference_model, favor
     assert run.gap <= _tol(run.outcome.social_cost)
 
 
-def test_reference_schedule_is_feasible(reference_run, reference_model, favorable_rg):
-    model, rg, run = reference_model, favorable_rg, reference_run[2]
+def _assert_feasible(model, profiles, run):
     net = model.demands.sum(axis=0).astype(float).copy()
-    for uid, prof in rg.profiles.items():
+    for uid, prof in profiles.items():
         net -= prof
     dec = run.outcome.decision
     supply = dec.grid_buy - dec.grid_sell
@@ -60,6 +59,10 @@ def test_reference_schedule_is_feasible(reference_run, reference_model, favorabl
         assert np.all(soc <= desd.e_max + 1e-6)
         # cleanup pass removes simultaneous charge/discharge
         assert np.all(dis * dec.charge[uid] <= 1e-6)
+
+
+def test_reference_schedule_is_feasible(reference_run, reference_model, favorable_rg):
+    _assert_feasible(reference_model, favorable_rg.profiles, reference_run[2])
 
 
 def test_ledger_covers_social_cost(reference_run):
@@ -101,8 +104,8 @@ def test_zero_instance_converges_quickly():
 
 def test_deterministic_bit_for_bit(reference_model, favorable_rg):
     cfg = CodesConfig(record_messages=True, max_rounds=300)
-    a = run_codes(reference_model, favorable_rg, config=cfg, seed=5)
-    b = run_codes(reference_model, favorable_rg, config=cfg, seed=5)
+    a = run_codes(reference_model, favorable_rg, config=cfg)
+    b = run_codes(reference_model, favorable_rg, config=cfg)
     assert a.iterations == b.iterations
     assert a.gap == b.gap
     np.testing.assert_array_equal(a.final_duals, b.final_duals)
@@ -118,7 +121,7 @@ def test_deterministic_bit_for_bit(reference_model, favorable_rg):
 def test_dual_agreement_at_termination(reference_run):
     _, _, run = reference_run
     spread = float(np.max(run.final_duals.max(axis=0) - run.final_duals.min(axis=0)))
-    assert spread <= 10 * CodesConfig().dual_tol
+    assert spread <= 10 * codes.DUAL_TOL
 
 
 def test_trace_shape_and_convergence(reference_run):
@@ -127,7 +130,7 @@ def test_trace_shape_and_convergence(reference_run):
     rounds = trace["round"]
     assert np.all(np.diff(rounds) > 0)
     assert trace["cost_gap"][-1] <= _tol(run.outcome.social_cost)
-    assert trace["balance_residual"][-1] <= CodesConfig().residual_tol
+    assert trace["balance_residual"][-1] <= codes.RESIDUAL_TOL
     assert run.iterations < 10_000  # empirical bring-up bound
 
 
@@ -192,13 +195,35 @@ def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
 
 def test_config_validation():
     with pytest.raises(InvariantViolation):
-        CodesConfig(step_a=0.0)
-    with pytest.raises(InvariantViolation):
-        CodesConfig(step_b=0.5)
-    with pytest.raises(InvariantViolation):
         CodesConfig(cost_tol_abs=0.0)
     with pytest.raises(InvariantViolation):
         CodesConfig(max_rounds=0)
+    with pytest.raises(InvariantViolation):
+        CodesConfig(check_every=2.5)
+    with pytest.raises(InvariantViolation):
+        CodesConfig(cost_tol_rel="small")
+
+
+def test_relinearization_is_deterministic_and_feasible(soc_dependent):
+    """SOC-dependent unit costs are re-looked-up every 100 rounds; a
+    300-round budget reaches the re-lookup three times, and this draw
+    stops there without a certificate."""
+    rng = np.random.default_rng(7)
+    model = soc_dependent(random_model(rng, r_max=5, T=24))
+    rg = random_rg_profiles(model, rng)
+    cfg = CodesConfig(max_rounds=300)
+    a, b = run_codes(model, rg, config=cfg), run_codes(model, rg, config=cfg)
+    assert not a.converged and a.iterations == 300
+    assert a.gap == b.gap and a.ledger == b.ledger
+    np.testing.assert_array_equal(a.trace, b.trace)
+    np.testing.assert_array_equal(a.final_duals, b.final_duals)
+    for uid in a.outcome.decision.discharge:
+        np.testing.assert_array_equal(a.outcome.decision.discharge[uid],
+                                      b.outcome.decision.discharge[uid])
+        np.testing.assert_array_equal(a.outcome.decision.charge[uid],
+                                      b.outcome.decision.charge[uid])
+    _assert_feasible(model, rg, a)
+    assert sum(a.ledger.values()) == pytest.approx(a.outcome.social_cost, abs=1e-6)
 
 
 def test_random_instances_match_oracle():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from gridbargain import (ExperimentConfig, FileError, InvariantViolation,
+from gridbargain import (CodesConfig, ExperimentConfig, FileError, InvariantViolation,
                          KindMismatch, build_pools, data_path, load_experiment,
                          load_model, write_csv, write_json)
 from gridbargain.fixtures import FAVORABLE_FORECAST, four_user_model
@@ -153,7 +153,27 @@ def test_experiment_defaults(tmp_path):
     assert cfg.solver == "centralized" and cfg.seed == 0
     assert cfg.gamma is None and cfg.forecast is None
     assert cfg.scenario_files == {} and cfg.mc_samples == 0
-    assert cfg.codes_overrides == {} and cfg.out_dir is None
+    assert cfg.codes == CodesConfig() and cfg.consensus_overrides == {}
+    assert cfg.out_dir is None
+
+
+def test_experiment_codes_and_consensus_sections(tmp_path):
+    (tmp_path / "m.yaml").write_text("x: 1\n")
+    p = tmp_path / "e.yaml"
+    p.write_text("model: m.yaml\ncodes: {max_rounds: 50, record_messages: true}\n"
+                 "consensus: {tol: 1.0e-6, max_iter: 10}\n")
+    cfg = load_experiment(str(p))
+    assert cfg.codes == CodesConfig(max_rounds=50, record_messages=True)
+    assert cfg.consensus_overrides == {"tol": 1e-6, "max_iter": 10}
+
+
+def test_experiment_forecast_without_wind(tmp_path):
+    (tmp_path / "m.yaml").write_text("x: 1\n")
+    p = tmp_path / "e.yaml"
+    p.write_text("model: m.yaml\nforecast: {solar: [0.8, 0.2, 0.0]}\n")
+    cfg = load_experiment(str(p))
+    np.testing.assert_array_equal(cfg.forecast.solar, [0.8, 0.2, 0.0])
+    assert cfg.forecast.wind is None
 
 
 # ------------------------------------------------------------------ csv/json

@@ -22,6 +22,7 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          forecast_all, individual_costs,
                          soc_trajectory, solve_individual, solve_social,
                          trading_cost, validate_model)
+from gridbargain import scheduling
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
 from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _forced_exchange,
@@ -206,6 +207,32 @@ def test_solo_is_pooled_problem_of_one_user():
             assert solo.cost == pooled.social_cost
             assert solo.bdc_cost == pooled.bdc_costs.get(u.id, 0.0)
             np.testing.assert_array_equal(solo.decision.grid_buy, pooled.decision.grid_buy)
+
+
+def test_outer_iterations_count_the_passes(monkeypatch, soc_dependent, reference_model):
+    """outer_iterations is the number of linearizations solved, not the
+    index of the best one. A SOC-dependent cost always takes a second
+    pass to see whether the re-looked-up costs settle; the pooled LP
+    counts through ``_solve_lp``, a lone battery through its DP."""
+    calls = []
+    for name in ("_solve_lp", "_battery_and_grid"):
+        def counting(*args, _real=getattr(scheduling, name), **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scheduling, name, counting)
+
+    assert solve_social(reference_model).outer_iterations == len(calls) == 1
+    calls.clear()
+    assert solve_social(soc_dependent(reference_model)).outer_iterations == len(calls) == 3
+    rng = np.random.default_rng(7)
+    batteries = set()
+    for _ in range(3):
+        m = soc_dependent(random_model(rng, r_max=5, T=24))
+        rg = random_rg_profiles(m, rng)
+        calls.clear()
+        assert solve_social(m, rg).outer_iterations == len(calls) >= 2
+        batteries.add(sum(u.is_active for u in m.users) == 1)
+    assert batteries == {True, False}  # both solvers were counted
 
 
 def test_infeasible_when_grid_too_small():
