@@ -457,6 +457,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            io.check_seed(args.seed, "--seed")
         return args.func(args)
     except (Infeasible, SolverStall, NoConvergence) as exc:
         log.error("solver failure: %s", exc)

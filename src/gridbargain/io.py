@@ -161,6 +161,14 @@ def _number(kind, value, what):
         raise InvariantViolation([f"{what} must be a number, got {value!r}"])
 
 
+def check_seed(seed, what):
+    """``seed`` if it can key numpy's generators (Philox takes an unsigned
+    64-bit key), else InvariantViolation."""
+    if not 0 <= seed < 2 ** 64:
+        raise InvariantViolation([f"{what} must be an integer in [0, 2**64), got {seed}"])
+    return seed
+
+
 def _mapping(node, what):
     """``node`` if it is a mapping, else InvariantViolation."""
     if not isinstance(node, dict):
@@ -389,14 +397,16 @@ def load_experiment(path):
     if problems:
         raise InvariantViolation(problems)
 
-    seed = _number(int, raw.get("seed", 0), "seed")
+    seed = check_seed(_number(int, raw.get("seed", 0), "seed"), "seed")
+    mc_seed = check_seed(_number(int, mc.get("seed", seed), "monte_carlo.seed"),
+                         "monte_carlo.seed")
     return ExperimentConfig(
         path=os.path.abspath(path), model_path=model_path,
         scenario_files=scenario_files, forecast=forecast, weights=weights,
         seed=seed, gamma=gamma, gamma_sweep=sweep,
         solver=solver, codes=codes, consensus_overrides=consensus,
         mc_samples=mc_samples, mc_honest=mc_honest,
-        mc_seed=_number(int, mc.get("seed", seed), "monte_carlo.seed"),
+        mc_seed=mc_seed,
         out_dir=_resolve(base, raw["out_dir"], "out_dir") if raw.get("out_dir") else None,
     )
 

@@ -339,9 +339,23 @@ def test_region_counts_match_whole_block(k, share):
     gamma_high = (0.3, 1.0, 2.5)[k % 3]
     d, eps0 = _case(k, _SHARES[share], gamma_high, seed=k)
     n = 3 * _MC_CHUNK + 17
-    got = _region_counts(d, eps0, {0, 1}, n, 11 + k, gamma_high)
-    assert got == _region_counts_whole_block(d, eps0, {0, 1}, n, 11 + k, gamma_high)
-    assert sum(got.values()) == n
+    for g in (gamma_high, 0.0):
+        got = _region_counts(d, eps0, {0, 1}, n, 11 + k, g)
+        assert got == _region_counts_whole_block(d, eps0, {0, 1}, n, 11 + k, g)
+        assert sum(got.values()) == n
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("chunk", [1, 5, 4096, 1 << 15])
+def test_region_counts_reuse_the_buffer(monkeypatch, chunk, k):
+    """A short last chunk reads only its own rows of a buffer that still
+    holds the previous chunk's draws."""
+    monkeypatch.setattr("gridbargain.bargaining._MC_CHUNK", chunk)
+    n = 37 if chunk == 1 else 3 * chunk + 2
+    for share, gamma_high in (("almost_none", 0.3), ("half", 1.0), ("all", 2.5)):
+        d, eps0 = _case(k, _SHARES[share], gamma_high, seed=chunk + k)
+        assert (_region_counts(d, eps0, {0, 1}, n, k, gamma_high)
+                == _region_counts_whole_block(d, eps0, {0, 1}, n, k, gamma_high))
 
 
 @pytest.mark.parametrize("n", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
@@ -429,6 +443,7 @@ def test_region_counts_memory_is_chunk_sized():
     ({"honest": {4}}, InvariantViolation),
     ({"honest": {-1}}, InvariantViolation),
     ({"gamma_high": -0.5}, NegativeGamma),
+    ({"gamma_high": float("inf")}, InvariantViolation),
 ])
 def test_region_probabilities_rejects_bad_arguments(kwargs, error):
     args = dict(d=FAV.d, eps0=FAV.eps0, honest={0}, n_samples=100)

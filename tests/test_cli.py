@@ -240,6 +240,24 @@ def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
     assert not any(out.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", ["report", "bargain", "region"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("where", ["flag", "seed", "monte_carlo.seed"])
+def test_exit_2_seed_out_of_range(tmp_path, command, seed, where):
+    """Seeds key unsigned 64-bit generators; anything else is bad input."""
+    argv = []
+    if where == "flag":
+        cfg = _experiment(tmp_path)
+        argv = ["--seed", str(seed)]
+    elif where == "seed":
+        cfg = _experiment(tmp_path, seed=seed)
+    else:
+        cfg = _experiment(tmp_path, monte_carlo={"samples": 100, "honest": [1], "seed": seed})
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out), *argv]) == 2
+    assert not out.exists()
+
+
 def _yaml_syntax_error(tmp_path):
     cfg = tmp_path / "e.yaml"
     cfg.write_text(f"model: {data_path('model.yaml')}\nseed: [1\n")
