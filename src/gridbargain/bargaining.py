@@ -11,14 +11,22 @@ stay within the surplus budget r*eps0.
 This module contains the allocation algebra, the per-user manipulation
 bounds, and a Monte Carlo estimator for how likely random selfishness
 is to profit everybody, to kill the bargain, or to land in between.
-The estimator draws in cache-sized chunks into one reused buffer, scales
-the draws in place and drops a draw as soon as its largest single
-understatement exceeds the budget, which decides it exactly; its tallies
-equal those of one pass over whole blocks of draws.
+The estimator splits every block of draws into one contiguous span per
+CPU the process may run on, tallies the spans on threads and adds their
+counts. A span reaches its first draw of the block's counter-based
+stream by advancing the generator, so the tallies do not depend on the
+CPU count. Each span draws in cache-sized chunks into one reused
+buffer, scales the draws in place and drops a draw as soon as its
+largest single understatement exceeds the budget, which decides it
+exactly; the tallies equal those of one pass over whole blocks of
+draws.
 """
 
 from __future__ import annotations
 
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,8 @@ __all__ = [
     "manipulation_interval",
     "dishonest_benefit",
     "region_probabilities",
+    "mc_workers",
+    "check_seed",
     "resilience_report",
     "PREDICATES",
     "SUCCESS_TOL",
@@ -163,6 +173,82 @@ class RegionProbability:
     n_samples: int
 
 
+def _cpus():
+    """CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def mc_workers(n_samples):
+    """Threads a Monte Carlo tally of ``n_samples`` draws runs on.
+
+    One per CPU of the process's affinity mask, but no more than a
+    block has chunks; 0 when there is nothing to draw.
+    """
+    chunks = -(-min(n_samples, _MC_BLOCK) // _MC_CHUNK)
+    return min(_cpus(), chunks)
+
+
+def _spans(m, workers):
+    """Rows [0, m) of a block as at most ``workers`` contiguous spans.
+
+    Spans split the block's chunks evenly and start on a multiple of 4
+    rows: ``Philox.advance(n)`` skips 4n doubles, so a span starting at
+    row lo of k doubles each is reached by ``advance(lo * k // 4)``.
+    """
+    chunks = -(-m // _MC_CHUNK)
+    workers = min(workers, chunks)
+    bounds = [i * chunks // workers * _MC_CHUNK // 4 * 4 for i in range(workers)] + [m]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _tally_span(mags, budget, r, gamma_high, seed, block, lo, hi):
+    """Counts of the three regions, in PREDICATES order, over rows
+    [lo, hi) of block ``block``."""
+    k = mags.size
+    # a uint64 key: numpy keys a list holding an int >= 2**63 through
+    # float64, which merges neighbouring seeds and maps 2**64 - 1 to 0
+    bit_gen = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
+    bit_gen.advance(lo * k // 4)
+    rng = np.random.Generator(bit_gen)
+    rows = min(_MC_CHUNK, hi - lo)
+    buf = np.empty(rows * k)
+    scale = np.tile(mags, rows)
+    n_profit = n_fails = n_lose = 0
+    for start in range(lo, hi, _MC_CHUNK):
+        c = min(_MC_CHUNK, hi - start)
+        flat = buf[:c * k]
+        rng.random(out=flat)
+        flat *= gamma_high
+        flat *= scale[:c * k]
+        y = flat.reshape(c, k)
+        largest = y[:, 0] if k == 1 else np.maximum(y[:, 0], y[:, 1])
+        for j in range(2, k):
+            np.maximum(largest, y[:, j], out=largest)
+        keep = largest <= budget
+        # past half a chunk, a copy costs more than carrying the rows
+        # along: the next test rejects them anyway
+        if 2 * np.count_nonzero(keep) <= c:
+            y = y.compress(keep, axis=0)
+        r_tot = y.sum(axis=1)  # a sum of columns differs in the last bit from k = 8
+        success = r_tot <= budget
+        n_success = int(np.count_nonzero(success))
+        n_fails += c - n_success
+        if n_success == 0:
+            continue
+        profit = success
+        if 2 * n_success <= success.size:
+            y, r_tot = y.compress(success, axis=0), r_tot[success]
+            profit = np.ones(n_success, dtype=bool)
+        for j in range(k):
+            profit &= y[:, j] * r > r_tot
+        n_all = int(np.count_nonzero(profit))
+        n_profit += n_all
+        n_lose += n_success - n_all
+    return n_profit, n_fails, n_lose
+
+
 def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     """Monte Carlo tallies of the three outcome regions.
 
@@ -171,14 +257,24 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     counter-based generator keyed by (seed, block), so tallies depend
     only on (seed, n_samples) no matter how blocks are scheduled.
 
-    Each block is drawn in chunks of _MC_CHUNK rows that continue the
-    block's stream, so the working set stays in cache. Every chunk
-    fills the front of one flat buffer allocated per call, then scales
-    it in place: by gamma_high, then by the dishonest magnitudes tiled
-    once to the buffer's length. That is bit-identical to
-    ``uniform(0, gamma_high) * mags``, which numpy computes as
-    ``0.0 + gamma_high * u``, equal to ``gamma_high * u`` for u >= 0.
-    A short last chunk reads only the rows it drew.
+    Each block is cut into one contiguous span of rows per worker
+    thread (``mc_workers``). A span starts on a multiple of 4 rows, so
+    its own generator, keyed like the block's, reaches the span's first
+    row with one ``Philox.advance`` and then draws exactly the rows a
+    pass over the whole block would. The spans' integer counts are
+    summed, so the tally does not depend on the worker count. numpy
+    releases the GIL while it draws and in the ufuncs on whole chunks,
+    so the threads run in parallel.
+
+    A span is drawn in chunks of _MC_CHUNK rows that continue its
+    stream, so the working set stays in cache; its last chunk ends at
+    the span's end. Every chunk fills the front of one flat buffer
+    allocated per span, then scales it in place: by gamma_high, then
+    by the dishonest magnitudes tiled once to the buffer's length.
+    That is bit-identical to ``uniform(0, gamma_high) * mags``, which
+    numpy computes as ``0.0 + gamma_high * u``, equal to
+    ``gamma_high * u`` for u >= 0. A short chunk reads only the rows
+    it drew.
 
     A chunk then drops every row whose largest understatement y_j,
     found by a running maximum over the columns, is above the budget;
@@ -197,56 +293,20 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     dishonest = np.array([i for i in range(r) if i not in honest], dtype=int)
     budget = r * float(eps0)
 
-    counts = dict.fromkeys(PREDICATES, 0)
     if dishonest.size == 0:
         # Nobody lies: the bargain holds, and universal dishonest profit
         # is vacuously impossible.
-        counts["succeeds_some_lose"] = n_samples
-        return counts
+        return dict(zip(PREDICATES, (0, 0, n_samples)))
 
     mags = np.abs(d[dishonest])
-    k = mags.size
-    rows = min(_MC_CHUNK, n_samples)
-    buf = np.empty(rows * k)
-    scale = np.tile(mags, rows)
-    done = 0
-    block_idx = 0
-    while done < n_samples:
-        m = min(_MC_BLOCK, n_samples - done)
-        rng = np.random.Generator(np.random.Philox(key=[int(seed), block_idx]))
-        for start in range(0, m, _MC_CHUNK):
-            c = min(_MC_CHUNK, m - start)
-            flat = buf[:c * k]
-            rng.random(out=flat)
-            flat *= gamma_high
-            flat *= scale[:c * k]
-            y = flat.reshape(c, k)
-            largest = y[:, 0] if k == 1 else np.maximum(y[:, 0], y[:, 1])
-            for j in range(2, k):
-                np.maximum(largest, y[:, j], out=largest)
-            keep = largest <= budget
-            # past half a chunk, a copy costs more than carrying the rows
-            # along: the next test rejects them anyway
-            if 2 * np.count_nonzero(keep) <= c:
-                y = y.compress(keep, axis=0)
-            r_tot = y.sum(axis=1)  # a sum of columns differs in the last bit from k = 8
-            success = r_tot <= budget
-            n_success = int(np.count_nonzero(success))
-            counts["bargaining_fails"] += c - n_success
-            if n_success == 0:
-                continue
-            profit = success
-            if 2 * n_success <= success.size:
-                y, r_tot = y.compress(success, axis=0), r_tot[success]
-                profit = np.ones(n_success, dtype=bool)
-            for j in range(k):
-                profit &= y[:, j] * r > r_tot
-            n_profit = int(np.count_nonzero(profit))
-            counts["all_dishonest_profit"] += n_profit
-            counts["succeeds_some_lose"] += n_success - n_profit
-        done += m
-        block_idx += 1
-    return counts
+    workers = mc_workers(n_samples)
+    spans = [(block, lo, hi)
+             for block, done in enumerate(range(0, n_samples, _MC_BLOCK))
+             for lo, hi in _spans(min(_MC_BLOCK, n_samples - done), workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        tallies = list(pool.map(
+            lambda span: _tally_span(mags, budget, r, gamma_high, seed, *span), spans))
+    return dict(zip(PREDICATES, map(sum, zip(*tallies))))
 
 
 def _honest_indices(honest, r):
@@ -259,13 +319,24 @@ def _honest_indices(honest, r):
     return honest
 
 
+def check_seed(seed, what="seed"):
+    """``seed`` as an int if it can key the Monte Carlo's generators
+    (Philox takes an unsigned 64-bit key), else InvariantViolation."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 64):
+        raise InvariantViolation([f"{what} must be an integer in [0, 2**64), got {seed!r}"])
+    return int(seed)
+
+
 def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
     """All three region probabilities from one sampling pass.
 
     ``honest`` holds 0-based user indices; the sample count must be
-    positive and ``gamma_high`` finite and non-negative.
+    positive, ``seed`` an integer in [0, 2**64) and ``gamma_high``
+    finite and non-negative.
     """
     honest = _honest_indices(honest, _vec(d).shape[0])
+    seed = check_seed(seed)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvariantViolation(f"the Monte Carlo needs at least one sample, got {n_samples}")

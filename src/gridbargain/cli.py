@@ -263,7 +263,8 @@ def cmd_bargain(args):
     if config is not None and config.gamma_sweep is not None:
         report["gamma_sweep_rows"] = _gamma_sweep_csv(out, d, j_soc, config.gamma_sweep)
     io.write_json(os.path.join(out, "bargain.json"), report)
-    timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed)
+    timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed,
+                   mc_workers=bargaining.mc_workers(int(samples)))
     io.write_json(os.path.join(out, "timings.json"), timings)
     log.info("bargain: eps0 = %.4f, declared eps = %.4f, success = %s",
              resilience["eps0"], resilience["epsilon"], resilience["success"])
@@ -298,7 +299,8 @@ def cmd_region(args):
         "seed": int(seed),
         "regions": regions,
     })
-    io.write_json(os.path.join(out, "timings.json"), {"monte_carlo_s": elapsed})
+    io.write_json(os.path.join(out, "timings.json"),
+                  {"monte_carlo_s": elapsed, "mc_workers": bargaining.mc_workers(int(samples))})
     for name in bargaining.PREDICATES:
         log.info("%s: %.4f%%", name, 100.0 * regions[name].probability)
     return 0
@@ -333,6 +335,7 @@ def cmd_report(args):
         d, j_soc, gamma, honest=[i - 1 for i in config.mc_honest],
         mc_samples=config.mc_samples, seed=config.mc_seed)
     timings["bargain_s"] = time.perf_counter() - t0
+    timings["mc_workers"] = bargaining.mc_workers(config.mc_samples)
 
     report = {
         "config": os.path.basename(config.path),
@@ -458,7 +461,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.seed is not None:
-            io.check_seed(args.seed, "--seed")
+            bargaining.check_seed(args.seed, "--seed")
         return args.func(args)
     except (Infeasible, SolverStall, NoConvergence) as exc:
         log.error("solver failure: %s", exc)

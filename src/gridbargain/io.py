@@ -22,6 +22,7 @@ from importlib import resources
 import numpy as np
 import yaml
 
+from .bargaining import check_seed
 from .codes import CodesConfig
 from .errors import FileError, InvariantViolation, KindMismatch
 from .model import (
@@ -154,19 +155,19 @@ def _resolve(base, path, what):
 
 
 def _number(kind, value, what):
-    """``kind(value)`` for a field read from a file, or InvariantViolation."""
+    """``kind(value)`` for a field read from a file, or InvariantViolation.
+
+    An int field takes an integral float such as ``2.0`` but rejects
+    ``2.9`` rather than truncating it; YAML's ``true`` is no number.
+    """
+    if isinstance(value, bool):
+        raise InvariantViolation([f"{what} must be a number, got {value!r}"])
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise InvariantViolation([f"{what} must be an integer, got {value!r}"])
     try:
         return kind(value)
     except (TypeError, ValueError):
         raise InvariantViolation([f"{what} must be a number, got {value!r}"])
-
-
-def check_seed(seed, what):
-    """``seed`` if it can key numpy's generators (Philox takes an unsigned
-    64-bit key), else InvariantViolation."""
-    if not 0 <= seed < 2 ** 64:
-        raise InvariantViolation([f"{what} must be an integer in [0, 2**64), got {seed}"])
-    return seed
 
 
 def _mapping(node, what):

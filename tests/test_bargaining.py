@@ -17,7 +17,7 @@ from gridbargain import (BargainingFailed, Interval, InvariantViolation, Negativ
                          manipulation_interval, region_probabilities, resilience_report,
                          selfish_cost)
 from gridbargain.bargaining import (_MC_BLOCK, _MC_CHUNK, PREDICATES, SUCCESS_TOL,
-                                    _region_counts)
+                                    _region_counts, _spans, mc_workers)
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
 
 FAV = REFERENCE_FAVORABLE
@@ -392,6 +392,47 @@ def test_region_counts_match_whole_block_on_the_boundary(k, zeros, seed):
                 == _region_counts_whole_block(d, eps0, honest, 20_000, seed, 1.0))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 9])
+@pytest.mark.parametrize("chunk", [1, 5, _MC_CHUNK])
+def test_region_counts_do_not_depend_on_the_worker_count(monkeypatch, chunk, k):
+    """Per-worker spans, each reached by Philox.advance, tally what one
+    pass over whole blocks does, for any worker count; 7 workers exceed
+    the chunks of every block below but the default-chunk full block."""
+    monkeypatch.setattr("gridbargain.bargaining._MC_CHUNK", chunk)
+    if chunk < _MC_CHUNK:
+        # a block boundary within reach of a one- or five-row chunk loop
+        monkeypatch.setattr("gridbargain.bargaining._MC_BLOCK", 64)
+        monkeypatch.setitem(globals(), "_MC_BLOCK", 64)
+    for n in (1, 3, 4 * chunk + 2, _MC_BLOCK + 1):
+        for share, gamma_high in (("half", 1.0), ("all", 2.5)):
+            d, eps0 = _case(k, _SHARES[share], gamma_high, seed=n + k)
+            want = _region_counts_whole_block(d, eps0, {0, 1}, n, k, gamma_high)
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: workers)
+                assert _region_counts(d, eps0, {0, 1}, n, k, gamma_high) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 16])
+@pytest.mark.parametrize("m", [1, 3, 4, 17, 64, 1000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_spans_tile_the_block_from_multiples_of_four(monkeypatch, chunk, m, workers):
+    monkeypatch.setattr("gridbargain.bargaining._MC_CHUNK", chunk)
+    spans = _spans(m, workers)
+    assert spans[0][0] == 0 and spans[-1][1] == m
+    assert all(hi == lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    assert all(lo < hi and lo % 4 == 0 for lo, hi in spans)
+    assert len(spans) <= min(workers, -(-m // chunk))
+
+
+def test_mc_workers_follow_the_cpus_and_the_chunks(monkeypatch):
+    monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: 3)
+    assert mc_workers(0) == 0
+    assert mc_workers(1) == 1
+    assert mc_workers(2 * _MC_CHUNK) == 2
+    assert mc_workers(2 * _MC_CHUNK + 1) == 3
+    assert mc_workers(5 * _MC_BLOCK) == 3
+
+
 def test_region_counts_golden_shipped():
     got = _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
     assert got == {"all_dishonest_profit": 184, "bargaining_fails": 997172,
@@ -444,11 +485,35 @@ def test_region_counts_memory_is_chunk_sized():
     ({"honest": {-1}}, InvariantViolation),
     ({"gamma_high": -0.5}, NegativeGamma),
     ({"gamma_high": float("inf")}, InvariantViolation),
+    ({"seed": -1}, InvariantViolation),
+    ({"seed": 2 ** 64}, InvariantViolation),
+    ({"seed": 1.7}, InvariantViolation),
+    ({"seed": 3.0}, InvariantViolation),
+    ({"seed": "3"}, InvariantViolation),
+    ({"seed": True}, InvariantViolation),
+    ({"seed": None}, InvariantViolation),
 ])
-def test_region_probabilities_rejects_bad_arguments(kwargs, error):
+def test_region_probabilities_rejects_bad_arguments(monkeypatch, kwargs, error):
+    def no_tally(*args):
+        raise AssertionError("the tally started")
+    monkeypatch.setattr("gridbargain.bargaining._region_counts", no_tally)
     args = dict(d=FAV.d, eps0=FAV.eps0, honest={0}, n_samples=100)
     with pytest.raises(error):
         region_probabilities(**dict(args, **kwargs))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_region_probabilities_takes_any_unsigned_64_bit_seed(seed):
+    want = region_probabilities(FAV.d, FAV.eps0, {0}, 1000, seed=seed)
+    for same in (np.uint64(seed), np.array(seed, dtype=np.uint64)[()]):
+        assert region_probabilities(FAV.d, FAV.eps0, {0}, 1000, seed=same) == want
+
+
+def test_region_probabilities_keys_seeds_above_2_63_apart():
+    """Neighbouring seeds past 2**63 keep distinct streams."""
+    a, b = (region_probabilities(FAV.d, FAV.eps0, {0}, 100_000, seed=2 ** 63 + i)
+            for i in (0, 1))
+    assert a != b
 
 
 def test_predicate_names_stable():

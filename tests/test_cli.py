@@ -77,6 +77,23 @@ def test_report_is_reproducible_byte_for_byte(tmp_path):
     assert "_s\"" not in (out1 / "report.json").read_text()
 
 
+@pytest.mark.parametrize("command, out_file", [("report", "report.json"),
+                                                ("bargain", "bargain.json"),
+                                                ("region", "region.json")])
+def test_output_does_not_depend_on_the_monte_carlo_workers(tmp_path, monkeypatch,
+                                                            command, out_file):
+    """The worker count goes to timings.json; the output stays byte-identical."""
+    cfg = _experiment(tmp_path, monte_carlo={"samples": 100_000, "honest": [1], "seed": 0})
+    outputs = []
+    for workers in (1, 3):
+        monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        assert cli.main([command, cfg, "--out", str(out)]) == 0
+        assert _read(out / "timings.json")["mc_workers"] == workers
+        outputs.append((out / out_file).read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_report_contents(tmp_path):
     cfg = _experiment(tmp_path, solver="distributed")
     out = tmp_path / "out"
@@ -325,6 +342,41 @@ def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     out = tmp_path / "out"
     assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
     assert not any(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("make_config", [
+    lambda tmp_path: _experiment(tmp_path, seed=1.7),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": 2.9, "honest": [1]}),
+    _model_with(horizon={"steps": 2.5, "dt": 1.0}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2], "num": 3.5}),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": 100, "honest": [1.5]}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2.5], "num": 3}),
+    lambda tmp_path: _experiment(tmp_path, seed=True),
+    lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": True, "honest": [1]}),
+], ids=["seed", "samples", "horizon_steps", "sweep_num", "honest", "sweep_users",
+        "seed_true", "samples_true"])
+def test_exit_2_fractional_integer_field(tmp_path, make_config):
+    """An integer field rejects 2.9 instead of truncating it to 2, and
+    YAML's true instead of reading it as 1."""
+    out = tmp_path / "out"
+    assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
+    assert not any(out.glob("*.json"))
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    """2.0 is read as 2 wherever an integer is due."""
+    mc = {"samples": 20000, "honest": [1], "seed": 3}
+    outputs = []
+    for name, number in (("int", int), ("float", float)):
+        (tmp_path / name).mkdir()
+        cfg = _experiment(tmp_path / name, seed=number(0),
+                          monte_carlo={k: [number(i) for i in v] if isinstance(v, list)
+                                       else number(v) for k, v in mc.items()},
+                          gamma_sweep={"users": [number(2)], "num": number(3)})
+        out = tmp_path / name / "out"
+        assert cli.main(["bargain", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "bargain.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_2_bad_codes_override(tmp_path):
