@@ -12,10 +12,10 @@ This module contains the allocation algebra, the per-user manipulation
 bounds, and a Monte Carlo estimator for how likely random selfishness
 is to profit everybody, to kill the bargain, or to land in between.
 The estimator splits every block of draws into one contiguous span per
-CPU the process may run on, tallies the spans on threads and adds their
-counts. A span reaches its first draw of the block's counter-based
-stream by advancing the generator, so the tallies do not depend on the
-CPU count. Each span draws in cache-sized chunks into one reused
+CPU the process may run on, at most _MC_MAX_WORKERS, tallies the spans
+on threads and adds their counts. A span reaches its first draw of the
+block's counter-based stream by advancing the generator, so the tallies
+do not depend on the CPU count. Each span draws in cache-sized chunks into one reused
 buffer, scales the draws in place and drops a draw as soon as its
 largest single understatement exceeds the budget, which decides it
 exactly; the tallies equal those of one pass over whole blocks of
@@ -55,6 +55,9 @@ PREDICATES = ("all_dishonest_profit", "bargaining_fails", "succeeds_some_lose")
 
 _MC_BLOCK = 1_000_000
 _MC_CHUNK = 1 << 14  # rows drawn at a time: 128 KB per dishonest user
+# Tally threads at most, whatever the host: each holds ~0.3 MB per
+# dishonest user of buffers, so the tally's memory stays a few chunks.
+_MC_MAX_WORKERS = 4
 
 
 def _vec(x):
@@ -183,11 +186,12 @@ def _cpus():
 def mc_workers(n_samples):
     """Threads a Monte Carlo tally of ``n_samples`` draws runs on.
 
-    One per CPU of the process's affinity mask, but no more than a
-    block has chunks; 0 when there is nothing to draw.
+    One per CPU of the process's affinity mask, but no more than
+    _MC_MAX_WORKERS or than a block has chunks; 0 when there is nothing
+    to draw.
     """
     chunks = -(-min(n_samples, _MC_BLOCK) // _MC_CHUNK)
-    return min(_cpus(), chunks)
+    return min(_cpus(), _MC_MAX_WORKERS, chunks)
 
 
 def _spans(m, workers):
@@ -249,8 +253,9 @@ def _tally_span(mags, budget, r, gamma_high, seed, block, lo, hi):
     return n_profit, n_fails, n_lose
 
 
-def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
-    """Monte Carlo tallies of the three outcome regions.
+def _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats=None):
+    """Monte Carlo tallies of the three outcome regions. A ``stats`` dict
+    receives ``mc_workers``, the threads they ran on (0 when nobody draws).
 
     Dishonest users draw gamma ~ U[0, gamma_high] independently, honest
     users keep gamma = 0. Sampling runs in fixed blocks with a
@@ -258,7 +263,7 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     only on (seed, n_samples) no matter how blocks are scheduled.
 
     Each block is cut into one contiguous span of rows per worker
-    thread (``mc_workers``). A span starts on a multiple of 4 rows, so
+    thread (``mc_workers``: one per CPU, at most _MC_MAX_WORKERS). A span starts on a multiple of 4 rows, so
     its own generator, keyed like the block's, reaches the span's first
     row with one ``Philox.advance`` and then draws exactly the rows a
     pass over the whole block would. The spans' integer counts are
@@ -293,13 +298,15 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high):
     dishonest = np.array([i for i in range(r) if i not in honest], dtype=int)
     budget = r * float(eps0)
 
-    if dishonest.size == 0:
-        # Nobody lies: the bargain holds, and universal dishonest profit
-        # is vacuously impossible.
+    workers = mc_workers(n_samples) if dishonest.size else 0
+    if stats is not None:
+        stats["mc_workers"] = workers
+    if not workers:
+        # Nobody lies (or nothing is drawn): the bargain holds, and
+        # universal dishonest profit is vacuously impossible.
         return dict(zip(PREDICATES, (0, 0, n_samples)))
 
     mags = np.abs(d[dishonest])
-    workers = mc_workers(n_samples)
     spans = [(block, lo, hi)
              for block, done in enumerate(range(0, n_samples, _MC_BLOCK))
              for lo, hi in _spans(min(_MC_BLOCK, n_samples - done), workers)]
@@ -328,12 +335,14 @@ def check_seed(seed, what="seed"):
     return int(seed)
 
 
-def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
+def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0, *,
+                         stats=None):
     """All three region probabilities from one sampling pass.
 
     ``honest`` holds 0-based user indices; the sample count must be
     positive, ``seed`` an integer in [0, 2**64) and ``gamma_high``
-    finite and non-negative.
+    finite and non-negative. A ``stats`` dict receives ``mc_workers``,
+    the threads the tally ran on (0 when every user is honest).
     """
     honest = _honest_indices(honest, _vec(d).shape[0])
     seed = check_seed(seed)
@@ -344,7 +353,7 @@ def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
         raise NegativeGamma(f"gamma_high must be >= 0, got {gamma_high}")
     if not np.isfinite(gamma_high):
         raise InvariantViolation(f"gamma_high must be finite, got {gamma_high}")
-    counts = _region_counts(d, eps0, honest, n_samples, seed, gamma_high)
+    counts = _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats)
     out = {}
     for name, c in counts.items():
         p = c / n_samples
@@ -355,14 +364,17 @@ def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0):
     return out
 
 
-def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0):
+def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0,
+                      stats=None):
     """Bundle of manipulation diagnostics for a given instance.
 
     Includes per-user solo bounds and profit intervals at the supplied
     gamma, the understatement totals against the surplus budget, and
     (when mc_samples > 0) the Monte Carlo region probabilities with
     gamma = 0 pinned for ``honest`` users, whose 0-based indices are
-    checked whether or not the Monte Carlo runs.
+    checked whether or not the Monte Carlo runs. A ``stats`` dict
+    receives ``mc_workers`` as from ``region_probabilities``, 0 when the
+    Monte Carlo does not run.
     """
     d = _vec(d)
     r = d.shape[0]
@@ -398,5 +410,8 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
         "users": users,
     }
     if mc_samples:
-        report["regions"] = region_probabilities(d, eps0, honest, int(mc_samples), seed=seed)
+        report["regions"] = region_probabilities(d, eps0, honest, int(mc_samples), seed=seed,
+                                                 stats=stats)
+    elif stats is not None:
+        stats["mc_workers"] = 0
     return report

@@ -241,10 +241,11 @@ def cmd_bargain(args):
 
     out = _out_dir(args, config)
     ideal = bargaining.allocate(d, j_soc)
+    mc = {}
     t0 = time.perf_counter()
     resilience = bargaining.resilience_report(
         d, j_soc, gamma, honest=[i - 1 for i in honest],
-        mc_samples=int(samples), seed=int(seed))
+        mc_samples=int(samples), seed=int(seed), stats=mc)
     mc_elapsed = time.perf_counter() - t0
 
     report = {
@@ -263,8 +264,7 @@ def cmd_bargain(args):
     if config is not None and config.gamma_sweep is not None:
         report["gamma_sweep_rows"] = _gamma_sweep_csv(out, d, j_soc, config.gamma_sweep)
     io.write_json(os.path.join(out, "bargain.json"), report)
-    timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed,
-                   mc_workers=bargaining.mc_workers(int(samples)))
+    timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed, **mc)
     io.write_json(os.path.join(out, "timings.json"), timings)
     log.info("bargain: eps0 = %.4f, declared eps = %.4f, success = %s",
              resilience["eps0"], resilience["epsilon"], resilience["success"])
@@ -285,9 +285,10 @@ def cmd_region(args):
     eps0 = (float(d.sum()) - j_soc) / r
 
     out = _out_dir(args, config)
+    mc = {}
     t0 = time.perf_counter()
     regions = bargaining.region_probabilities(
-        d, eps0, [i - 1 for i in honest], int(samples), seed=int(seed))
+        d, eps0, [i - 1 for i in honest], int(samples), seed=int(seed), stats=mc)
     elapsed = time.perf_counter() - t0
     io.write_json(os.path.join(out, "region.json"), {
         "config": os.path.basename(config.path) if config else None,
@@ -299,8 +300,7 @@ def cmd_region(args):
         "seed": int(seed),
         "regions": regions,
     })
-    io.write_json(os.path.join(out, "timings.json"),
-                  {"monte_carlo_s": elapsed, "mc_workers": bargaining.mc_workers(int(samples))})
+    io.write_json(os.path.join(out, "timings.json"), dict(monte_carlo_s=elapsed, **mc))
     for name in bargaining.PREDICATES:
         log.info("%s: %.4f%%", name, 100.0 * regions[name].probability)
     return 0
@@ -333,9 +333,8 @@ def cmd_report(args):
     t0 = time.perf_counter()
     resilience = bargaining.resilience_report(
         d, j_soc, gamma, honest=[i - 1 for i in config.mc_honest],
-        mc_samples=config.mc_samples, seed=config.mc_seed)
+        mc_samples=config.mc_samples, seed=config.mc_seed, stats=timings)
     timings["bargain_s"] = time.perf_counter() - t0
-    timings["mc_workers"] = bargaining.mc_workers(config.mc_samples)
 
     report = {
         "config": os.path.basename(config.path),

@@ -16,8 +16,8 @@ from gridbargain import (BargainingFailed, Interval, InvariantViolation, Negativ
                          ZeroIdealCost, allocate, dishonest_benefit, gamma_solo_bound,
                          manipulation_interval, region_probabilities, resilience_report,
                          selfish_cost)
-from gridbargain.bargaining import (_MC_BLOCK, _MC_CHUNK, PREDICATES, SUCCESS_TOL,
-                                    _region_counts, _spans, mc_workers)
+from gridbargain.bargaining import (_MC_BLOCK, _MC_CHUNK, _MC_MAX_WORKERS, PREDICATES,
+                                    SUCCESS_TOL, _region_counts, _spans, mc_workers)
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
 
 FAV = REFERENCE_FAVORABLE
@@ -397,8 +397,10 @@ def test_region_counts_match_whole_block_on_the_boundary(k, zeros, seed):
 def test_region_counts_do_not_depend_on_the_worker_count(monkeypatch, chunk, k):
     """Per-worker spans, each reached by Philox.advance, tally what one
     pass over whole blocks does, for any worker count; 7 workers exceed
-    the chunks of every block below but the default-chunk full block."""
+    the chunks of every block below but the default-chunk full block.
+    The cap on workers is lifted so that 7 CPUs give 7 spans."""
     monkeypatch.setattr("gridbargain.bargaining._MC_CHUNK", chunk)
+    monkeypatch.setattr("gridbargain.bargaining._MC_MAX_WORKERS", 7)
     if chunk < _MC_CHUNK:
         # a block boundary within reach of a one- or five-row chunk loop
         monkeypatch.setattr("gridbargain.bargaining._MC_BLOCK", 64)
@@ -431,6 +433,24 @@ def test_mc_workers_follow_the_cpus_and_the_chunks(monkeypatch):
     assert mc_workers(2 * _MC_CHUNK) == 2
     assert mc_workers(2 * _MC_CHUNK + 1) == 3
     assert mc_workers(5 * _MC_BLOCK) == 3
+
+
+def test_mc_workers_are_capped_whatever_the_cpus(monkeypatch):
+    monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: 64)
+    assert mc_workers(_MC_BLOCK) == _MC_MAX_WORKERS
+    assert mc_workers(2 * _MC_CHUNK) == min(2, _MC_MAX_WORKERS)
+    stats = {}
+    _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 100_000, 0, 1.0, stats)
+    assert stats == {"mc_workers": _MC_MAX_WORKERS}
+
+
+@pytest.mark.parametrize("honest, n, workers", [({0}, 1, 1), ({0}, 3 * _MC_CHUNK, 2),
+                                                ({0, 1, 2, 3}, 1000, 0)])
+def test_region_counts_report_the_workers_they_ran_on(monkeypatch, honest, n, workers):
+    monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: 2)
+    stats = {}
+    region_probabilities(SHIPPED_D, SHIPPED_EPS0, honest, n, stats=stats)
+    assert stats == {"mc_workers": workers}
 
 
 def test_region_counts_golden_shipped():
@@ -476,6 +496,18 @@ def test_region_counts_memory_is_chunk_sized():
     finally:
         tracemalloc.stop()
     assert peak < 8e6  # a whole-block pass holds several 24 MB arrays
+
+
+def test_region_counts_memory_is_chunk_sized_on_many_cpus(monkeypatch):
+    """The worker cap keeps the tally's memory bounded whatever the host."""
+    monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: 64)
+    tracemalloc.start()
+    try:
+        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("kwargs, error", [

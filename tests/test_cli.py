@@ -94,6 +94,15 @@ def test_output_does_not_depend_on_the_monte_carlo_workers(tmp_path, monkeypatch
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["report", "bargain", "region"])
+def test_timings_record_no_workers_when_everyone_is_honest(tmp_path, command):
+    """mc_workers is what the tally ran on: no thread when nobody draws."""
+    cfg = _experiment(tmp_path, monte_carlo={"samples": 1000, "honest": [1, 2, 3, 4],
+                                             "seed": 0})
+    assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 0
+    assert _read(tmp_path / "o" / "timings.json")["mc_workers"] == 0
+
+
 def test_report_contents(tmp_path):
     cfg = _experiment(tmp_path, solver="distributed")
     out = tmp_path / "out"
