@@ -379,6 +379,8 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     d = _vec(d)
     r = d.shape[0]
     gamma = np.zeros(r) if gamma is None else _vec(gamma)
+    if gamma.shape != (r,):
+        raise InvariantViolation(f"gamma has shape {gamma.shape} but there are {r} users")
     honest = _honest_indices(honest or (), r)
     eps0 = (float(d.sum()) - float(j_soc)) / r
     r_tot = float(np.sum(gamma * np.abs(d)))

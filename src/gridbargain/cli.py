@@ -50,16 +50,39 @@ def _parse_floats(text, flag):
     return values
 
 
-def _parse_honest(text):
+def _positions_outside(positions, r, what):
+    """A complaint about the 1-based user positions outside 1..r, or None."""
+    outside = sorted({i for i in positions if not 1 <= i <= r})
+    return f"{what}: positions {outside} are outside users 1..{r}" if outside else None
+
+
+def _parse_honest(text, r):
+    """--honest as 1-based user positions, each within 1..r."""
     if text.strip() == "":
         return ()
     try:
         idx = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise InvariantViolation([f"--honest: expected comma-separated integers, got {text!r}"])
-    if any(i < 1 for i in idx):
-        raise InvariantViolation(["--honest uses 1-based user positions"])
+    outside = _positions_outside(idx, r, "--honest")
+    if outside:
+        raise InvariantViolation([outside])
     return idx
+
+
+def _check_users(config, r):
+    """The experiment's per-user fields against a model of ``r`` users."""
+    problems = []
+    if config.gamma is not None and config.gamma.shape[0] != r:
+        problems.append(f"gamma has {config.gamma.shape[0]} entries but the model has "
+                        f"{r} users")
+    problems.append(_positions_outside(config.mc_honest, r, "monte_carlo.honest"))
+    if config.gamma_sweep is not None:
+        problems.append(_positions_outside(config.gamma_sweep["users"], r,
+                                           "gamma_sweep.users"))
+    problems = [p for p in problems if p]
+    if problems:
+        raise InvariantViolation(problems)
 
 
 def _out_dir(args, config):
@@ -77,6 +100,7 @@ def _load_bundle(args):
             "seed": int(args.seed), "mc_seed": int(args.seed),
         })
     model = io.load_model(config.model_path)
+    _check_users(config, model.n_users)
     pools = io.build_pools(config)
     for uid, pool in pools.items():
         if pool.profiles.shape[1] != model.horizon.steps:
@@ -205,8 +229,6 @@ def _gamma_sweep_csv(out, d, j_soc, sweep):
     """Lattice of gamma vectors -> success flag and discount, as CSV."""
     users = sweep["users"]
     r = d.shape[0]
-    if any(i < 1 or i > r for i in users):
-        raise InvariantViolation([f"gamma_sweep.users must be within 1..{r}"])
     axes = [np.linspace(0.0, sweep["max"], sweep["num"])] * len(users)
     grid = np.meshgrid(*axes, indexing="ij")
     rows = []
@@ -233,7 +255,7 @@ def cmd_bargain(args):
         raise InvariantViolation(
             [f"gamma has {gamma.shape[0]} entries but there are {r} users"])
 
-    honest = _parse_honest(args.honest) if args.honest is not None else (
+    honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
     samples = args.samples if args.samples is not None else (
         config.mc_samples if config else 0)
@@ -277,7 +299,7 @@ def cmd_bargain(args):
 def cmd_region(args):
     config, d, j_soc, model, extra = _bargain_inputs(args)
     r = d.shape[0]
-    honest = _parse_honest(args.honest) if args.honest is not None else (
+    honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
     samples = args.samples if args.samples is not None else (
         (config.mc_samples if config else 0) or 1_000_000)

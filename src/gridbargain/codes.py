@@ -105,11 +105,12 @@ class CodesConfig:
         bad = []
         for name in ("cost_tol_abs", "cost_tol_rel"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
                 bad.append(f"{name} must be a number > 0, got {value!r}")
         for name in ("max_rounds", "check_every"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= 1):
                 bad.append(f"{name} must be an integer >= 1, got {value!r}")
         if not isinstance(self.record_messages, bool):
             bad.append(f"record_messages must be true or false, got {self.record_messages!r}")

@@ -185,15 +185,16 @@ def _integers(node, what):
 
 
 def _bdc_from(node, uid):
+    what = f"user {uid}: bdc"
     if node is None:
         return ConstantBdc(0.0)
-    if isinstance(node, (int, float)):
-        return ConstantBdc(float(node))
+    if not isinstance(node, list):
+        return ConstantBdc(_number(float, node, what))
     try:
-        return PiecewiseSocBdc(tuple((float(a), float(b)) for a, b in node))
+        return PiecewiseSocBdc(tuple((_number(float, a, what), _number(float, b, what))
+                                     for a, b in node))
     except (TypeError, ValueError):
-        raise InvariantViolation(
-            [f"user {uid}: bdc must be a number or a list of [soc_frac, cost] pairs"])
+        raise InvariantViolation([f"{what} must be a number or a list of [soc_frac, cost] pairs"])
 
 
 def _user_from(node):
@@ -256,11 +257,13 @@ def load_model(path):
     base = os.path.dirname(os.path.abspath(path))
     raw = _load_yaml(path, _MODEL_SECTIONS)
     for key in ("horizon", "users", "prices", "demands"):
-        if key not in raw:
+        if raw.get(key) is None:
             raise InvariantViolation([f"{path}: missing section {key!r}"])
     horizon = Horizon(steps=_number(int, raw["horizon"].get("steps"), "horizon.steps"),
                       dt=_number(float, raw["horizon"].get("dt", 1.0), "horizon.dt"))
     users = tuple(_user_from(n) for n in raw["users"])
+    if not users:
+        raise InvariantViolation([f"{path}: users: need at least one user"])
     prices = load_prices(_resolve(base, raw["prices"], "prices"), horizon.steps)
     demands = load_demands(_resolve(base, raw["demands"], "demands"),
                            [u.id for u in users], horizon.steps)
@@ -390,10 +393,10 @@ def load_experiment(path):
         consensus["tol"] = _number(float, consensus["tol"], "consensus.tol")
         if not (np.isfinite(consensus["tol"]) and consensus["tol"] > 0.0):
             problems.append(f"consensus.tol must be finite and > 0, got {consensus['tol']}")
-    if "max_iter" in consensus and not (isinstance(consensus["max_iter"], int)
-                                        and consensus["max_iter"] >= 1):
-        problems.append(f"consensus.max_iter must be an integer >= 1, "
-                        f"got {consensus['max_iter']!r}")
+    if "max_iter" in consensus:
+        consensus["max_iter"] = _number(int, consensus["max_iter"], "consensus.max_iter")
+        if consensus["max_iter"] < 1:
+            problems.append(f"consensus.max_iter must be >= 1, got {consensus['max_iter']}")
 
     if problems:
         raise InvariantViolation(problems)

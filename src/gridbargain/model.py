@@ -243,8 +243,8 @@ def model_violations(model):
     h = model.horizon
     if int(h.steps) < 1:
         v.append(f"horizon: steps must be >= 1, got {h.steps}")
-    if not h.dt > 0.0:
-        v.append(f"horizon: dt must be > 0, got {h.dt}")
+    if not 0.0 < h.dt < np.inf:
+        v.append(f"horizon: dt must be finite and > 0, got {h.dt}")
     T = int(h.steps)
 
     r = model.n_users
@@ -260,8 +260,8 @@ def model_violations(model):
             v.append(f"user {u.id}: renewable generation requires a storage device")
         if u.desd is not None:
             v.extend(_desd_violations(u.id, u.desd))
-        if u.rg is not None and u.rg.size_kw <= 0.0:
-            v.append(f"user {u.id}: rg size must be > 0, got {u.rg.size_kw}")
+        if u.rg is not None and not 0.0 < u.rg.size_kw < np.inf:
+            v.append(f"user {u.id}: rg size must be finite and > 0, got {u.rg.size_kw}")
 
     if model.demands.shape != (r, T):
         v.append(f"demands: expected shape ({r}, {T}), got {model.demands.shape}")
@@ -278,8 +278,8 @@ def model_violations(model):
         elif np.any(arr < 0.0):
             v.append(f"prices.{name}: must be >= 0")
 
-    if model.grid is not None and not model.grid.p_g_max > 0.0:
-        v.append(f"grid: p_g_max must be > 0, got {model.grid.p_g_max}")
+    if model.grid is not None and not 0.0 < model.grid.p_g_max < np.inf:
+        v.append(f"grid: p_g_max must be finite and > 0, got {model.grid.p_g_max}")
     return v
 
 

@@ -16,8 +16,11 @@ ratings and the point-of-coupling rating. With a constant degradation
 cost this is a linear program; a SOC-dependent degradation cost is
 handled by successive linearization: solve with the cost profile looked
 up on the previous SOC trajectory, re-lookup, repeat until the true
-cost moves less than CONVERGED_DELTA_CENTS (at most MAX_OUTER
-linearizations).
+cost moves less than CONVERGED_DELTA_CENTS or the re-looked-up profile
+is one already solved (at most MAX_OUTER linearizations). The lookup is
+a step function and every solve deterministic, so a repeated profile
+would only replay iterates already costed; the best iterate, the first
+strict minimum, is returned.
 
 The number of batteries in the program picks the solver:
 
@@ -113,7 +116,7 @@ class SocialScheduleOutcome:
     bdc_costs: dict  # user_id -> cents
     social_cost: float
     soc: dict  # user_id -> kWh after each step
-    outer_iterations: int = 1  # linearizations solved (SOC-dependent costs take >= 2)
+    outer_iterations: int = 1  # linearizations solved; constant costs take 1
 
 
 @dataclass(frozen=True)
@@ -469,7 +472,8 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
 
     ``net`` is their demand minus generation. The unit degradation
     costs start from the initial SOC and get re-looked-up on the
-    achieved trajectory until the true cost settles. Without a battery
+    achieved trajectory until the true cost settles or the profile
+    repeats one already solved. Without a battery
     the program has a closed-form optimum; with one it is solved exactly
     by ``_battery_and_grid``; only two or more batteries go to HiGHS,
     with the grid as the first port and each battery the next, in model
@@ -510,9 +514,11 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
             for u in active}
     all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
 
+    solved = set()  # the unit-cost profiles solved so far, bitwise
     prev_cost = None
     best = None
     for outer in range(1, MAX_OUTER + 1):
+        solved.add(tuple(unit[u.id].tobytes() for u in active))
         out = _costed(active, *solve(unit), prices, dt)
         if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)
                or np.any(out.soc[u.id] > u.desd.e_max + FEAS_TOL) for u in active):
@@ -531,6 +537,10 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
         unit = {u.id: np.asarray(u.desd.bdc.unit_cost(out.soc[u.id] / u.desd.e_max),
                                  dtype=float)
                 for u in active}
+        # a profile solved before replays iterates already costed, so
+        # the best one cannot change
+        if tuple(unit[u.id].tobytes() for u in active) in solved:
+            break
     return replace(best, outer_iterations=outer)
 
 

@@ -10,11 +10,25 @@ before each step's cost became any convex piecewise-linear function: a
 fill and a drain segment per step, its value function starting at 0.
 It stays here, verbatim but for its name, as the oracle that the
 general DP's local step must reproduce bit for bit.
+
+``relinearize_every_pass`` is ``scheduling._pooled`` as the package had
+it before the successive linearization stopped at the first repeated
+unit-cost profile: it re-solves until the true cost settles or
+MAX_OUTER passes are spent. It stays here, verbatim but for its name,
+as the oracle whose schedules, SOC paths and costs the shipped loop
+must return bit for bit.
 """
 
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
+
+from gridbargain.errors import Infeasible, SolverStall
+from gridbargain.model import ConstantBdc
+from gridbargain.scheduling import (CONVERGED_DELTA_CENTS, FEAS_TOL, MAX_OUTER,
+                                    _battery_and_grid, _costed, _forced_exchange,
+                                    _linprog_input, _solve_lp, _storage_lp)
 
 
 def cumulative_storage_lp(ports, T, dt, refill_terminal):
@@ -124,3 +138,73 @@ def two_segment_storage_dp(alpha, beta, X, Y, span, start, recover):
         fill.append(y)
         soc = min(max(soc - x + y, 0.0), span)
     return val, drain, fill
+
+
+def relinearize_every_pass(users, net, prices, p_g_max, T, dt, refill_terminal, what):
+    """Minimum-cost schedule of ``users`` sharing one grid connection.
+
+    ``net`` is their demand minus generation. The unit degradation
+    costs start from the initial SOC and get re-looked-up on the
+    achieved trajectory until the true cost settles. Without a battery
+    the program has a closed-form optimum; with one it is solved exactly
+    by ``_battery_and_grid``; only two or more batteries go to HiGHS,
+    with the grid as the first port and each battery the next, in model
+    order.
+    """
+    active = [u for u in users if u.is_active]
+    if not active:
+        return _costed([], *_forced_exchange(net, prices, p_g_max, what), {}, {}, prices, dt)
+    if len(active) == 1:
+        (user,) = active
+
+        def solve(unit):
+            sched = _battery_and_grid(user.desd, unit[user.id], prices.buy, prices.sell, net,
+                                      p_g_max, dt, refill_terminal)
+            if sched is None:
+                raise Infeasible(f"{what}: no schedule meets the net demand within the "
+                                 "battery and grid ratings")
+            _, discharge, charge = sched
+            grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
+            return (*_forced_exchange(grid, prices, p_g_max, what),
+                    {user.id: discharge}, {user.id: charge})
+    else:
+        lp = _linprog_input(_storage_lp(
+            [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
+            T, dt, refill_terminal))
+
+        def solve(unit):
+            c = np.concatenate(
+                [prices.buy * dt, -prices.sell * dt]
+                + [np.concatenate([unit[u.id], unit[u.id]]) * dt for u in active]
+            )
+            x = _solve_lp(c, lp, net, what)
+            dc = x[2 * T:2 * T * (len(active) + 1)].reshape(len(active), 2, T)
+            return (x[:T], x[T:2 * T], {u.id: d for u, (d, _) in zip(active, dc)},
+                    {u.id: ch for u, (_, ch) in zip(active, dc)})
+
+    unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
+            for u in active}
+    all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
+
+    prev_cost = None
+    best = None
+    for outer in range(1, MAX_OUTER + 1):
+        out = _costed(active, *solve(unit), prices, dt)
+        if any(np.any(out.soc[u.id] < u.desd.e_min - FEAS_TOL)
+               or np.any(out.soc[u.id] > u.desd.e_max + FEAS_TOL) for u in active):
+            raise SolverStall(f"{what}: SOC left its bounds")
+        cost = out.social_cost
+
+        # every iterate is feasible and costed under the true step
+        # costs, so the best one is always a valid answer even when
+        # the linearization cycles instead of settling
+        if best is None or cost < best.social_cost:
+            best = out
+        if all_constant or (prev_cost is not None
+                            and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
+            break
+        prev_cost = cost
+        unit = {u.id: np.asarray(u.desd.bdc.unit_cost(out.soc[u.id] / u.desd.e_max),
+                                 dtype=float)
+                for u in active}
+    return replace(best, outer_iterations=outer)

@@ -577,6 +577,14 @@ def test_resilience_report_zero_cost_user():
     assert rep["users"][1]["solo_bound"] is not None
 
 
+@pytest.mark.parametrize("gamma", [[0.0, 0.05, 0.05], [0.05], [[0.0] * 4]])
+def test_resilience_report_rejects_gamma_of_another_length(gamma):
+    """One gamma per user: a short one, or one that numpy would broadcast,
+    is bad input rather than a numpy error or a silent broadcast."""
+    with pytest.raises(InvariantViolation, match="gamma"):
+        resilience_report(FAV.d, FAV.j_soc, gamma=gamma)
+
+
 @pytest.mark.parametrize("honest", [[4], [-1]])
 def test_resilience_report_checks_honest_without_monte_carlo(honest):
     with pytest.raises(InvariantViolation, match="outside"):

@@ -266,6 +266,40 @@ def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
     assert not any(out.glob("*.json"))
 
 
+@pytest.mark.parametrize("command", ["forecast", "schedule", "report", "bargain", "region"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"gamma": [0.0, 0.05, 0.05]}, "gamma has 3 entries but the model has 4 users"),
+    ({"gamma": [0.0] * 5}, "gamma has 5 entries but the model has 4 users"),
+    ({"monte_carlo": {"samples": 100, "honest": [7]}},
+     "monte_carlo.honest: positions [7] are outside users 1..4"),
+    ({"monte_carlo": {"samples": 0, "honest": [1, 5]}},
+     "monte_carlo.honest: positions [5] are outside users 1..4"),
+    ({"gamma_sweep": {"users": [2, 5], "num": 3}},
+     "gamma_sweep.users: positions [5] are outside users 1..4"),
+    ({"gamma_sweep": {"users": [0], "num": 3}},
+     "gamma_sweep.users: positions [0] are outside users 1..4"),
+], ids=["gamma_3", "gamma_5", "honest_7", "honest_5_no_mc", "sweep_5", "sweep_0"])
+def test_exit_2_per_user_fields_that_do_not_fit_the_model(tmp_path, caplog, command,
+                                                          overrides, message):
+    """gamma, monte_carlo.honest and gamma_sweep.users are checked against
+    the model's users, by their 1-based positions, before any solve or
+    write."""
+    cfg = _experiment(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in caplog.text
+
+
+@pytest.mark.parametrize("command", ["bargain", "region"])
+def test_exit_2_honest_flag_outside_the_users(tmp_path, caplog, command):
+    out = tmp_path / "out"
+    assert cli.main([command, f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "2,7",
+                     "--samples", "10", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "--honest: positions [7] are outside users 1..4" in caplog.text
+
+
 @pytest.mark.parametrize("command", ["report", "bargain", "region"])
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("where", ["flag", "seed", "monte_carlo.seed"])
@@ -294,6 +328,14 @@ def _word_for_kappa(tmp_path):
     cfg = _bridge_experiment(tmp_path)
     model = yaml.safe_load((tmp_path / "m.yaml").read_text())
     model["users"][0]["desd"]["kappa"] = "abc"
+    (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
+    return cfg
+
+
+def _bdc_true(tmp_path):
+    cfg = _bridge_experiment(tmp_path)
+    model = yaml.safe_load((tmp_path / "m.yaml").read_text())
+    model["users"][0]["desd"]["bdc"] = True
     (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
     return cfg
 
@@ -362,11 +404,17 @@ def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2.5], "num": 3}),
     lambda tmp_path: _experiment(tmp_path, seed=True),
     lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": True, "honest": [1]}),
+    lambda tmp_path: _experiment(tmp_path, consensus={"max_iter": True}),
+    lambda tmp_path: _experiment(tmp_path, codes={"max_rounds": True}),
+    lambda tmp_path: _experiment(tmp_path, codes={"cost_tol_abs": True}),
+    _bdc_true,
 ], ids=["seed", "samples", "horizon_steps", "sweep_num", "honest", "sweep_users",
-        "seed_true", "samples_true"])
+        "seed_true", "samples_true", "max_iter_true", "max_rounds_true", "cost_tol_true",
+        "bdc_true"])
 def test_exit_2_fractional_integer_field(tmp_path, make_config):
     """An integer field rejects 2.9 instead of truncating it to 2, and
-    YAML's true instead of reading it as 1."""
+    every numeric field, in the codes and consensus sections and a
+    battery's bdc too, rejects YAML's true instead of reading it as 1."""
     out = tmp_path / "out"
     assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
     assert not any(out.glob("*.json"))

@@ -102,6 +102,9 @@ def test_non_finite_inputs_rejected(bad):
                  DesdParams(e0=1.0, e_min=0.0, e_max=bad, p_b_max=1.0),
                  DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=bad)):
         cases.append(dict(users=(UserSpec("a"), UserSpec("b", desd=desd))))
+    cases += [dict(grid=GridLimits(bad)), dict(horizon=Horizon(steps=3, dt=bad)),
+              dict(users=(UserSpec("a"), UserSpec("b", desd=DesdParams(
+                  e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0), rg=Pv(bad))))]
     for override in cases:
         with pytest.raises(InvariantViolation):
             validate_model(_model(**override))

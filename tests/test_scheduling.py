@@ -27,7 +27,7 @@ from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_mo
                                   random_rg_profiles, synthetic_solar_pool)
 from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _forced_exchange,
                                     _linprog_input, _lp_keywords, _solve_lp, _storage_lp)
-from _oracles import cumulative_storage_lp
+from _oracles import cumulative_storage_lp, relinearize_every_pass
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
 
@@ -211,9 +211,10 @@ def test_solo_is_pooled_problem_of_one_user():
 
 def test_outer_iterations_count_the_passes(monkeypatch, soc_dependent, reference_model):
     """outer_iterations is the number of linearizations solved, not the
-    index of the best one. A SOC-dependent cost always takes a second
-    pass to see whether the re-looked-up costs settle; the pooled LP
-    counts through ``_solve_lp``, a lone battery through its DP."""
+    index of the best one. A SOC-dependent cost is re-solved until its
+    true cost settles or its re-looked-up costs repeat a profile already
+    solved; the pooled LP counts through ``_solve_lp``, a lone battery
+    through its DP."""
     calls = []
     for name in ("_solve_lp", "_battery_and_grid"):
         def counting(*args, _real=getattr(scheduling, name), **kwargs):
@@ -233,6 +234,95 @@ def test_outer_iterations_count_the_passes(monkeypatch, soc_dependent, reference
         assert solve_social(m, rg).outer_iterations == len(calls) >= 2
         batteries.add(sum(u.is_active for u in m.users) == 1)
     assert batteries == {True, False}  # both solvers were counted
+
+
+def _soc_dependent_draws(soc_dependent):
+    """SOC-dependent random grids with their generation: T=24 draws with
+    one battery and with several, and one at T=96, dt=0.25."""
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(8):
+        m = soc_dependent(random_model(rng, r_max=5, T=24))
+        draws.append((m, random_rg_profiles(m, rng)))
+    m = random_model(rng, r_max=4, T=96)
+    m = soc_dependent(replace(m, horizon=Horizon(steps=96, dt=0.25), _validated=False))
+    draws.append((m, random_rg_profiles(m, rng)))
+    n_batteries = {min(sum(u.is_active for u in m.users), 2) for m, _ in draws}
+    assert n_batteries == {1, 2}  # both the DP and HiGHS are covered
+    return draws
+
+
+def _bits(x):
+    """``x`` down to its bytes: arrays, floats and dicts of them."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return None if x is None else (np.shape(x), np.asarray(x, dtype=float).tobytes())
+
+
+def _assert_same_schedule(a, b, costs):
+    """Decisions, SOC and the named cost fields of ``a`` and ``b``, bitwise."""
+    for field in ("grid_buy", "grid_sell", "discharge", "charge"):
+        assert _bits(getattr(a.decision, field)) == _bits(getattr(b.decision, field))
+    for field in ("soc",) + costs:
+        assert _bits(getattr(a, field)) == _bits(getattr(b, field))
+
+
+def test_linearization_stopping_at_a_repeat_is_exact(monkeypatch, soc_dependent):
+    """Stopping at the first repeated cost profile returns the schedule,
+    SOC paths and costs of re-solving until MAX_OUTER, bit for bit, in
+    fewer passes: a repeat only replays iterates already costed."""
+    fewer = 0
+    for m, rg in _soc_dependent_draws(soc_dependent):
+        social, solo = solve_social(m, rg), individual_costs(m, rg)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduling, "_pooled", relinearize_every_pass)
+            social_ref, solo_ref = solve_social(m, rg), individual_costs(m, rg)
+        _assert_same_schedule(social, social_ref, ("trading_cost", "bdc_costs", "social_cost"))
+        assert social.outer_iterations <= social_ref.outer_iterations
+        fewer += social.outer_iterations < social_ref.outer_iterations
+        assert solo.keys() == solo_ref.keys()
+        for uid in solo:
+            _assert_same_schedule(solo[uid], solo_ref[uid], ("trading_cost", "bdc_cost", "cost"))
+    assert fewer > 0  # the draws do cycle
+
+
+def test_no_cost_profile_is_solved_twice(monkeypatch, soc_dependent):
+    """Every LP and DP a linearization hands out has inputs not solved
+    before in the same schedule: a repeated unit-cost profile ends it."""
+    seen = []
+
+    def recording(name, key):
+        def wrapped(*args, _real=getattr(scheduling, name), **kwargs):
+            seen.append((name, key(*args)))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scheduling, name, wrapped)
+
+    recording("_solve_lp", lambda c, lp, bus, what: (c.tobytes(), bus.tobytes(), what))
+    recording("_battery_and_grid", lambda desd, unit, buy, sell, net, *rest: (
+        id(desd), np.asarray(unit).tobytes(), net.tobytes(), rest))
+    for m, rg in _soc_dependent_draws(soc_dependent):
+        seen.clear()
+        solve_social(m, rg)
+        assert len(seen) == len(set(seen)) >= 1
+        for k, u in enumerate(m.users):
+            if u.is_active:
+                seen.clear()
+                solve_individual(u, m.demands[k], m.prices, m.grid, m.horizon,
+                                 rg_profile=rg.get(u.id))
+                assert len(seen) == len(set(seen)) >= 1
+
+
+def test_a_flat_soc_dependent_cost_takes_one_pass(reference_model):
+    """When the re-looked-up costs equal the starting ones, the first
+    solve is the answer: re-solving would return it again."""
+    def with_bdc(bdc):
+        users = tuple(replace(u, desd=replace(u.desd, bdc=bdc)) if u.is_active else u
+                      for u in reference_model.users)
+        return validate_model(replace(reference_model, users=users, _validated=False))
+
+    out = solve_social(with_bdc(PiecewiseSocBdc(((0.0, 1.5), (0.5, 1.5)))))
+    assert out.outer_iterations == 1
+    assert out.social_cost == solve_social(with_bdc(ConstantBdc(1.5))).social_cost
 
 
 def test_infeasible_when_grid_too_small():
