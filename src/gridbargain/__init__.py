@@ -15,10 +15,9 @@ from .codes import (CodesConfig, CodesRun, RoundMessage, convergence_trace,
                     dump_message_log, run_codes)
 from .consensus import (ConsensusRun, allocate_from_consensus, metropolis_weights,
                         run_average_consensus)
-from .errors import (BargainingFailed, DisconnectedGraph, FileError, GridBargainError,
-                     Infeasible, InvariantViolation, KindMismatch, LengthMismatch,
-                     NegativeGamma, NoConvergence, SolverStall, TooFewScenarios,
-                     ZeroIdealCost)
+from .errors import (DisconnectedGraph, FileError, GridBargainError, Infeasible,
+                     InvariantViolation, KindMismatch, LengthMismatch, NegativeGamma,
+                     NoConvergence, SolverStall, TooFewScenarios, ZeroIdealCost)
 from .io import (ExperimentConfig, build_pools, data_path, load_experiment,
                  load_model, write_csv, write_json)
 from .model import (ConstantBdc, DesdParams, GridLimits, Horizon, MicrogridModel,

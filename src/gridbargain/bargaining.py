@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BargainingFailed, InvariantViolation, NegativeGamma, ZeroIdealCost
+from .errors import InvariantViolation, NegativeGamma, ZeroIdealCost
 
 __all__ = [
     "AllocationResult",
@@ -149,23 +149,19 @@ def manipulation_interval(d, eps0, gamma, i):
     return Interval(lower=lower, upper=upper)
 
 
-def dishonest_benefit(d, gamma, i, eps0=None):
+def dishonest_benefit(d, gamma, i):
     """User i's gain over the truthful allocation: gamma_i |D_i| - R_tot/r.
 
     Positive means the lie pays off, negative means other users' lies
-    cost user i more than its own lie recovers. When ``eps0`` is given
-    the bargain is checked first and BargainingFailed raised if the
-    declarations sink it.
+    cost user i more than its own lie recovers. The algebra holds
+    whether or not the bargain survives the declarations; check that
+    with ``allocate``.
     """
     d, gamma = _vec(d), _vec(gamma)
     if np.any(gamma < 0.0):
         raise NegativeGamma("gamma must be >= 0")
     r = d.shape[0]
     r_tot = float(np.sum(gamma * np.abs(d)))
-    if eps0 is not None and r_tot > r * float(eps0) + r * SUCCESS_TOL:
-        raise BargainingFailed(
-            f"total understatement {r_tot:.6g} exceeds the budget {r * float(eps0):.6g}"
-        )
     return float(gamma[i] * abs(d[i]) - r_tot / r)
 
 
@@ -207,7 +203,7 @@ def _spans(m, workers):
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _tally_span(mags, budget, r, gamma_high, seed, block, lo, hi):
+def _tally_span(mags, budget, r, seed, block, lo, hi):
     """Counts of the three regions, in PREDICATES order, over rows
     [lo, hi) of block ``block``."""
     k = mags.size
@@ -224,7 +220,6 @@ def _tally_span(mags, budget, r, gamma_high, seed, block, lo, hi):
         c = min(_MC_CHUNK, hi - start)
         flat = buf[:c * k]
         rng.random(out=flat)
-        flat *= gamma_high
         flat *= scale[:c * k]
         y = flat.reshape(c, k)
         largest = y[:, 0] if k == 1 else np.maximum(y[:, 0], y[:, 1])
@@ -253,11 +248,11 @@ def _tally_span(mags, budget, r, gamma_high, seed, block, lo, hi):
     return n_profit, n_fails, n_lose
 
 
-def _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats=None):
+def _region_counts(d, eps0, honest, n_samples, seed, stats=None):
     """Monte Carlo tallies of the three outcome regions. A ``stats`` dict
     receives ``mc_workers``, the threads they ran on (0 when nobody draws).
 
-    Dishonest users draw gamma ~ U[0, gamma_high] independently, honest
+    Dishonest users draw gamma ~ U[0, 1] independently, honest
     users keep gamma = 0. Sampling runs in fixed blocks with a
     counter-based generator keyed by (seed, block), so tallies depend
     only on (seed, n_samples) no matter how blocks are scheduled.
@@ -274,12 +269,11 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats=None):
     A span is drawn in chunks of _MC_CHUNK rows that continue its
     stream, so the working set stays in cache; its last chunk ends at
     the span's end. Every chunk fills the front of one flat buffer
-    allocated per span, then scales it in place: by gamma_high, then
-    by the dishonest magnitudes tiled once to the buffer's length.
-    That is bit-identical to ``uniform(0, gamma_high) * mags``, which
-    numpy computes as ``0.0 + gamma_high * u``, equal to
-    ``gamma_high * u`` for u >= 0. A short chunk reads only the rows
-    it drew.
+    allocated per span, then scales it in place by the dishonest
+    magnitudes tiled once to the buffer's length. That is bit-identical
+    to ``uniform(0, 1) * mags``, which numpy computes as
+    ``0.0 + 1.0 * u``, equal to u. A short chunk reads only the rows it
+    drew.
 
     A chunk then drops every row whose largest understatement y_j,
     found by a running maximum over the columns, is above the budget;
@@ -312,7 +306,7 @@ def _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats=None):
              for lo, hi in _spans(min(_MC_BLOCK, n_samples - done), workers)]
     with ThreadPoolExecutor(workers) as pool:
         tallies = list(pool.map(
-            lambda span: _tally_span(mags, budget, r, gamma_high, seed, *span), spans))
+            lambda span: _tally_span(mags, budget, r, seed, *span), spans))
     return dict(zip(PREDICATES, map(sum, zip(*tallies))))
 
 
@@ -335,25 +329,21 @@ def check_seed(seed, what="seed"):
     return int(seed)
 
 
-def region_probabilities(d, eps0, honest, n_samples, seed=0, gamma_high=1.0, *,
-                         stats=None):
+def region_probabilities(d, eps0, honest, n_samples, seed=0, *, stats=None):
     """All three region probabilities from one sampling pass.
 
-    ``honest`` holds 0-based user indices; the sample count must be
-    positive, ``seed`` an integer in [0, 2**64) and ``gamma_high``
-    finite and non-negative. A ``stats`` dict receives ``mc_workers``,
-    the threads the tally ran on (0 when every user is honest).
+    Dishonest users draw gamma ~ U[0, 1]; gamma ~ U[0, g] is the same
+    as ``d`` scaled by g at the same ``eps0``. ``honest`` holds 0-based
+    user indices; the sample count must be positive and ``seed`` an
+    integer in [0, 2**64). A ``stats`` dict receives ``mc_workers``, the
+    threads the tally ran on (0 when every user is honest).
     """
     honest = _honest_indices(honest, _vec(d).shape[0])
     seed = check_seed(seed)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvariantViolation(f"the Monte Carlo needs at least one sample, got {n_samples}")
-    if not gamma_high >= 0.0:
-        raise NegativeGamma(f"gamma_high must be >= 0, got {gamma_high}")
-    if not np.isfinite(gamma_high):
-        raise InvariantViolation(f"gamma_high must be finite, got {gamma_high}")
-    counts = _region_counts(d, eps0, honest, n_samples, seed, gamma_high, stats)
+    counts = _region_counts(d, eps0, honest, n_samples, seed, stats)
     out = {}
     for name, c in counts.items():
         p = c / n_samples

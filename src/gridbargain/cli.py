@@ -28,7 +28,6 @@ import numpy as np
 
 from . import bargaining, codes, consensus, io, rg_forecast, scheduling
 from .errors import (
-    BargainingFailed,
     GridBargainError,
     Infeasible,
     InvariantViolation,
@@ -225,6 +224,22 @@ def _bargain_inputs(args):
     }
 
 
+def _check_scale(d, j_soc, gammas=()):
+    """Refuse costs so large that the bargain's sums overflow a float.
+
+    Each sum the bargain and the Monte Carlo form (sum D, eps0 and the
+    budget, declared costs, understatement totals, r y_j) is at most
+    r ((1 + g) sum |D_i| + |J_soc|), g the largest |gamma| in play; the
+    Monte Carlo's draws stay below 1. The bound is summed in Python
+    floats, which overflow to inf without a warning.
+    """
+    g = max(map(abs, gammas), default=0.0)
+    bound = len(d) * ((1.0 + g) * sum(abs(x) for x in d.tolist()) + abs(j_soc))
+    if not np.isfinite(bound):
+        raise InvariantViolation([
+            f"costs too large: r ((1 + {g:g}) sum |D_i| + |J_soc|) overflows a float"])
+
+
 def _gamma_sweep_csv(out, d, j_soc, sweep):
     """Lattice of gamma vectors -> success flag and discount, as CSV."""
     users = sweep["users"]
@@ -254,6 +269,9 @@ def cmd_bargain(args):
     if gamma is not None and gamma.shape[0] != r:
         raise InvariantViolation(
             [f"gamma has {gamma.shape[0]} entries but there are {r} users"])
+    sweep = config.gamma_sweep if config is not None else None
+    in_play = (gamma.tolist() if gamma is not None else []) + ([sweep["max"]] if sweep else [])
+    _check_scale(d, j_soc, in_play)
 
     honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
@@ -283,8 +301,8 @@ def cmd_bargain(args):
     }
     if "schedule" in extra:
         report["schedule"] = extra["schedule"]
-    if config is not None and config.gamma_sweep is not None:
-        report["gamma_sweep_rows"] = _gamma_sweep_csv(out, d, j_soc, config.gamma_sweep)
+    if sweep is not None:
+        report["gamma_sweep_rows"] = _gamma_sweep_csv(out, d, j_soc, sweep)
     io.write_json(os.path.join(out, "bargain.json"), report)
     timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed, **mc)
     io.write_json(os.path.join(out, "timings.json"), timings)
@@ -299,6 +317,7 @@ def cmd_bargain(args):
 def cmd_region(args):
     config, d, j_soc, model, extra = _bargain_inputs(args)
     r = d.shape[0]
+    _check_scale(d, j_soc)
     honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
     samples = args.samples if args.samples is not None else (
@@ -487,9 +506,6 @@ def main(argv=None):
     except (Infeasible, SolverStall, NoConvergence) as exc:
         log.error("solver failure: %s", exc)
         return 3
-    except BargainingFailed as exc:
-        log.error("bargaining failure: %s", exc)
-        return 4
     except GridBargainError as exc:
         log.error("invalid input: %s", exc)
         return 2

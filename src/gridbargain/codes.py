@@ -91,8 +91,9 @@ class CodesConfig:
 
     The run stops once the certified gap is within max(cost_tol_abs
     cents, cost_tol_rel * |cost|), checked every check_every rounds, or
-    after max_rounds. record_messages keeps every message put on the
-    bus. The algorithm's own settings are the module constants above.
+    after max_rounds; both tolerances must be finite and > 0.
+    record_messages keeps every message put on the bus. The algorithm's
+    own settings are the module constants above.
     """
 
     max_rounds: int = 6000
@@ -105,8 +106,9 @@ class CodesConfig:
         bad = []
         for name in ("cost_tol_abs", "cost_tol_rel"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and value > 0):
-                bad.append(f"{name} must be a number > 0, got {value!r}")
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0 < value < np.inf):
+                bad.append(f"{name} must be a finite number > 0, got {value!r}")
         for name in ("max_rounds", "check_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
@@ -205,7 +207,7 @@ class _UserLocal:
                                   self.dt)
         if sched is None:
             raise SolverStall("rebalance step: no feasible schedule")
-        return sched[1:]
+        return sched
 
 
 def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):

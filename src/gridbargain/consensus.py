@@ -53,10 +53,9 @@ class ConsensusRun:
     initial: np.ndarray
     final: np.ndarray
     iterations: int
-    trajectory: np.ndarray | None = None  # (iterations+1, n) when recorded
 
 
-def run_average_consensus(x0, W, *, tol=SPREAD_TOL, max_iter=MAX_ITER, record=False):
+def run_average_consensus(x0, W, *, tol=SPREAD_TOL, max_iter=MAX_ITER):
     """Iterate x <- W x until the max-min spread falls to ``tol``.
 
     Returns the run with the final (agreed) states; iteration count is
@@ -67,16 +66,10 @@ def run_average_consensus(x0, W, *, tol=SPREAD_TOL, max_iter=MAX_ITER, record=Fa
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.shape[0] != W.shape[0]:
         raise ValueError(f"x0 must be a vector of length {W.shape[0]}")
-    traj = [x.copy()] if record else None
     for k in range(max_iter + 1):
         if float(x.max() - x.min()) <= tol:
-            return ConsensusRun(
-                initial=np.array(x0, dtype=float), final=x, iterations=k,
-                trajectory=np.array(traj) if record else None,
-            )
+            return ConsensusRun(initial=np.array(x0, dtype=float), final=x, iterations=k)
         x = W @ x
-        if record:
-            traj.append(x.copy())
     raise NoConvergence(f"consensus spread above {tol:g} after {max_iter} iterations")
 
 

@@ -61,7 +61,3 @@ class NegativeGamma(GridBargainError):
 
 class ZeroIdealCost(GridBargainError):
     """An operation needs |D_i| > 0 but the ideal cost is zero."""
-
-
-class BargainingFailed(GridBargainError):
-    """The cooperative bargain does not hold under the given declarations."""

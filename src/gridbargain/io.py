@@ -116,8 +116,13 @@ def jsonable(obj):
 
 
 def write_json(path, obj):
+    """Strict JSON: a NaN or infinity is refused before the file is opened."""
+    try:
+        text = json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise InvariantViolation([f"{path}: holds a NaN or infinity, which JSON cannot hold"])
     with open(path, "w") as fh:
-        fh.write(json.dumps(jsonable(obj), sort_keys=True, indent=2))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -367,6 +372,8 @@ def load_experiment(path):
                  "max": _number(float, sweep.get("max", 1.0), "gamma_sweep.max")}
         if sweep["num"] < 1:
             problems.append(f"gamma_sweep.num must be >= 1, got {sweep['num']}")
+        if not 0.0 <= sweep["max"] < np.inf:
+            problems.append(f"gamma_sweep.max must be finite and >= 0, got {sweep['max']}")
 
     solver = raw.get("solver", "centralized")
     if solver not in SOLVERS:

@@ -91,20 +91,20 @@ class ScenarioPool:
         return np.flatnonzero(self.class_of == c)
 
 
-def classify_scenarios(profiles, kind, n_classes=None, *, seed=None, weights="random"):
+def classify_scenarios(profiles, kind, *, seed=None, weights="random"):
     """Group profiles into weather classes and attach conditional weights.
 
     Profiles are ranked by daily mean (the irradiance / wind-speed proxy
     available from the profile itself) and split into contiguous classes
-    of near-equal size, any remainder going to the lowest classes. Ties
-    keep input order. Conditional probabilities within a class are
-    normalized U[0,1] draws from ``seed`` (weights="random") or uniform
-    1/|class| (weights="equal").
+    of near-equal size, any remainder going to the lowest classes. The
+    kind fixes the class count: N_SOLAR_CLASSES for "pv", N_WIND_CLASSES
+    for "wt". Ties keep input order. Conditional probabilities within a
+    class are normalized U[0,1] draws from ``seed`` (weights="random") or
+    uniform 1/|class| (weights="equal").
     """
     if kind not in ("pv", "wt"):
         raise KindMismatch(f"kind must be 'pv' or 'wt', got {kind!r}")
-    if n_classes is None:
-        n_classes = N_SOLAR_CLASSES if kind == "pv" else N_WIND_CLASSES
+    n_classes = N_SOLAR_CLASSES if kind == "pv" else N_WIND_CLASSES
     profiles = np.array(np.atleast_2d(profiles), dtype=float)
     K = profiles.shape[0]
     if K < n_classes:
@@ -182,12 +182,6 @@ class RgForecastResult:
     """Predicted generation per RG-owning user id."""
 
     profiles: dict
-
-    def get(self, user_id, T=None):
-        """Profile for a user, or zeros when the user has no generator."""
-        if user_id in self.profiles:
-            return self.profiles[user_id]
-        return np.zeros(0 if T is None else T)
 
 
 def forecast_all(pools, forecast):

@@ -136,7 +136,7 @@ class IndividualOutcome:
     soc: np.ndarray | None
 
 
-def _storage_lp(ports, T, dt, refill_terminal=False):
+def _storage_lp(ports, T, dt):
     """One storage LP over an ordered list of ports, equality rows only.
 
     A port is (cap, desd): T columns of power into the bus, then T of
@@ -147,9 +147,8 @@ def _storage_lp(ports, T, dt, refill_terminal=False):
     rows balance the bus; ``_lp_keywords`` fills in their right-hand
     side. Then each battery has T rows,
     E_t - E_{t-1} + (discharge_t/kappa - kappa*charge_t)*dt = 0 with
-    E_0 = e0 on the right-hand side. ``refill_terminal`` raises the
-    lower bound of E_T to e0. The matrix is sparse: one entry per port
-    column and 4T - 1 more per battery.
+    E_0 = e0 on the right-hand side. The matrix is sparse: one entry per
+    port column and 4T - 1 more per battery.
     """
     batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
     n_ports, t = 2 * T * len(ports), np.arange(T)
@@ -166,8 +165,6 @@ def _storage_lp(ports, T, dt, refill_terminal=False):
                  np.ones(T), -np.ones(T - 1)]
         b_eq[soc[0]] = d.e0
         bounds[energy] = d.e_min, d.e_max
-        if refill_terminal:
-            bounds[energy[-1], 0] = d.e0
     A_eq = sparse.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                             shape=(b_eq.size, bounds.shape[0]))
     return {"A_eq": A_eq, "b_eq": b_eq, "bounds": bounds, "T": T}
@@ -281,14 +278,14 @@ _DP_TOL = 1e-9
 _BURN_TOL = 1e-12
 
 
-def _storage_dp(steps, span, start, recover, end_lo=0.0):
+def _storage_dp(steps, span, start, recover):
     """Exact single-battery program in energy units, by a backward DP.
 
     The state is the SOC offset above e_min, kept in [0, span]; it
-    starts at ``start`` and ends at ``end_lo`` or above. Step t lowers
-    it by v_t at a cost h_t(v_t), convex piecewise-linear, given as
-    (lo, h_t(lo), segments): v_t >= lo, and a segment (slope, length,
-    tag) raises v_t by ``length`` at ``slope`` per kWh. A segment
+    starts at ``start``. Step t lowers it by v_t at a cost h_t(v_t),
+    convex piecewise-linear, given as (lo, h_t(lo), segments): v_t >=
+    lo, and a segment (slope, length, tag) raises v_t by ``length`` at
+    ``slope`` per kWh. A segment
     tagged _FILL lies left of v = 0 (the step fills less), one tagged
     _DRAIN right of it (drains more); the domain need not contain 0.
     Segments are sorted in one at a time, so a list out of slope order
@@ -309,8 +306,8 @@ def _storage_dp(steps, span, start, recover, end_lo=0.0):
     ``recover`` the per-step drain and fill (v_t = drain - fill) of one
     optimal schedule (None otherwise).
     """
-    slopes, lens, tags = [0.0], [span - end_lo], [_W]
-    w_lo, w_hi = end_lo, span
+    slopes, lens, tags = [0.0], [span], [_W]
+    w_lo, w_hi = 0.0, span
     val = 0.0
     merged = []
     for lo, h_lo, segs in reversed(steps):
@@ -392,7 +389,7 @@ def _storage_dp(steps, span, start, recover, end_lo=0.0):
     return val, drain, fill
 
 
-def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt, refill_terminal=False):
+def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt):
     """One battery and the grid covering ``net`` at least cost, by ``_storage_dp``.
 
     In energy units a step drains x in [0, X], fills y in [0, Y] and
@@ -411,9 +408,8 @@ def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt, refill_terminal=F
     must be >= 0, as a validated model has them: then no schedule burns
     energy it could sell.
 
-    Returns the optimal cost (the LP's objective in cents) and the
-    battery's discharge and charge, or None when no schedule is
-    feasible. ``refill_terminal`` ends the SOC at e0 or above.
+    Returns the battery's discharge and charge of an optimal schedule,
+    or None when no schedule is feasible.
     """
     kappa = desd.kappa
     rho = 1.0 / kappa - kappa  # surplus burnt per kWh filled and drained at once
@@ -457,17 +453,15 @@ def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt, refill_terminal=F
              for l0, h0, s, n, g in zip(lo.tolist(), h_lo.tolist(), slope.tolist(),
                                         length.tolist(), tag.tolist())]
 
-    start = desd.e0 - desd.e_min
-    val, drain, fill = _storage_dp(steps, desd.e_max - desd.e_min, start, True,
-                                   start if refill_terminal else 0.0)
+    val, drain, fill = _storage_dp(steps, desd.e_max - desd.e_min, desd.e0 - desd.e_min, True)
     if val is None:
         return None
     v = np.array(drain) - np.array(fill)
     y = burn(v)
-    return val, (v + y) * (kappa / dt), y / (kappa * dt)
+    return (v + y) * (kappa / dt), y / (kappa * dt)
 
 
-def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
+def _pooled(users, net, prices, p_g_max, T, dt, what):
     """Minimum-cost schedule of ``users`` sharing one grid connection.
 
     ``net`` is their demand minus generation. The unit degradation
@@ -487,18 +481,17 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
 
         def solve(unit):
             sched = _battery_and_grid(user.desd, unit[user.id], prices.buy, prices.sell, net,
-                                      p_g_max, dt, refill_terminal)
+                                      p_g_max, dt)
             if sched is None:
                 raise Infeasible(f"{what}: no schedule meets the net demand within the "
                                  "battery and grid ratings")
-            _, discharge, charge = sched
+            discharge, charge = sched
             grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
             return (*_forced_exchange(grid, prices, p_g_max, what),
                     {user.id: discharge}, {user.id: charge})
     else:
         lp = _linprog_input(_storage_lp(
-            [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
-            T, dt, refill_terminal))
+            [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active], T, dt))
 
         def solve(unit):
             c = np.concatenate(
@@ -544,7 +537,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, refill_terminal, what):
     return replace(best, outer_iterations=outer)
 
 
-def solve_social(model, rg=None, *, refill_terminal=False):
+def solve_social(model, rg=None):
     """Pooled minimum-cost schedule for the whole microgrid.
 
     ``rg`` maps user ids to predicted generation profiles (RgForecastResult
@@ -558,11 +551,10 @@ def solve_social(model, rg=None, *, refill_terminal=False):
     for prof in _rg_profiles(rg, model.users, T).values():
         net -= prof
     return _pooled(model.users, net, model.prices, model.grid.p_g_max, T, dt,
-                   refill_terminal, "social schedule")
+                   "social schedule")
 
 
-def solve_individual(user, demand, prices, grid, horizon, rg_profile=None,
-                     *, refill_terminal=False):
+def solve_individual(user, demand, prices, grid, horizon, rg_profile=None):
     """Minimum-cost schedule for one user facing the tariff alone.
 
     This is the pooled problem with the user as its only member. A
@@ -573,7 +565,7 @@ def solve_individual(user, demand, prices, grid, horizon, rg_profile=None,
     T, dt = int(horizon.steps), float(horizon.dt)
     net = (np.asarray(demand, dtype=float)
            - _rg_profiles({user.id: rg_profile}, [user], T)[user.id])
-    out = _pooled([user], net, prices, grid.p_g_max, T, dt, refill_terminal,
+    out = _pooled([user], net, prices, grid.p_g_max, T, dt,
                   f"individual schedule ({user.id})")
     dec = out.decision
     return IndividualOutcome(
@@ -584,11 +576,10 @@ def solve_individual(user, demand, prices, grid, horizon, rg_profile=None,
     )
 
 
-def individual_costs(model, rg=None, *, refill_terminal=False):
+def individual_costs(model, rg=None):
     """solve_individual for every user; returns {user_id: IndividualOutcome}."""
     model = validate_model(model)
     profiles = _rg_profiles(rg, model.users, int(model.horizon.steps))
     return {u.id: solve_individual(u, model.demands[k], model.prices, model.grid,
-                                   model.horizon, rg_profile=profiles[u.id],
-                                   refill_terminal=refill_terminal)
+                                   model.horizon, rg_profile=profiles[u.id])
             for k, u in enumerate(model.users)}

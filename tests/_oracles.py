@@ -14,9 +14,10 @@ general DP's local step must reproduce bit for bit.
 ``relinearize_every_pass`` is ``scheduling._pooled`` as the package had
 it before the successive linearization stopped at the first repeated
 unit-cost profile: it re-solves until the true cost settles or
-MAX_OUTER passes are spent. It stays here, verbatim but for its name,
-as the oracle whose schedules, SOC paths and costs the shipped loop
-must return bit for bit.
+MAX_OUTER passes are spent. It stays here, verbatim but for its name
+and the options the package no longer takes, as the oracle whose
+schedules, SOC paths and costs the shipped loop must return bit for
+bit.
 """
 
 from bisect import bisect_right
@@ -140,7 +141,7 @@ def two_segment_storage_dp(alpha, beta, X, Y, span, start, recover):
     return val, drain, fill
 
 
-def relinearize_every_pass(users, net, prices, p_g_max, T, dt, refill_terminal, what):
+def relinearize_every_pass(users, net, prices, p_g_max, T, dt, what):
     """Minimum-cost schedule of ``users`` sharing one grid connection.
 
     ``net`` is their demand minus generation. The unit degradation
@@ -159,18 +160,18 @@ def relinearize_every_pass(users, net, prices, p_g_max, T, dt, refill_terminal, 
 
         def solve(unit):
             sched = _battery_and_grid(user.desd, unit[user.id], prices.buy, prices.sell, net,
-                                      p_g_max, dt, refill_terminal)
+                                      p_g_max, dt)
             if sched is None:
                 raise Infeasible(f"{what}: no schedule meets the net demand within the "
                                  "battery and grid ratings")
-            _, discharge, charge = sched
+            discharge, charge = sched
             grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
             return (*_forced_exchange(grid, prices, p_g_max, what),
                     {user.id: discharge}, {user.id: charge})
     else:
         lp = _linprog_input(_storage_lp(
             [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
-            T, dt, refill_terminal))
+            T, dt))
 
         def solve(unit):
             c = np.concatenate(

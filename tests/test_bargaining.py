@@ -12,10 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gridbargain import (BargainingFailed, Interval, InvariantViolation, NegativeGamma,
-                         ZeroIdealCost, allocate, dishonest_benefit, gamma_solo_bound,
-                         manipulation_interval, region_probabilities, resilience_report,
-                         selfish_cost)
+from gridbargain import (Interval, InvariantViolation, NegativeGamma, ZeroIdealCost, allocate,
+                         dishonest_benefit, gamma_solo_bound, manipulation_interval,
+                         region_probabilities, resilience_report, selfish_cost)
 from gridbargain.bargaining import (_MC_BLOCK, _MC_CHUNK, _MC_MAX_WORKERS, PREDICATES,
                                     SUCCESS_TOL, _region_counts, _spans, mc_workers)
 from gridbargain.fixtures import REFERENCE_ADVERSE, REFERENCE_FAVORABLE
@@ -237,14 +236,6 @@ def test_benefit_zero_sum(rng):
         assert sum(gains) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_benefit_checks_bargain_when_asked():
-    gamma = np.array([0.0, 0.2, 0.0, 0.0])  # kills the favorable-case bargain
-    with pytest.raises(BargainingFailed):
-        dishonest_benefit(FAV.d, gamma, 1, eps0=FAV.eps0)
-    # without the budget the algebra is still well-defined
-    assert np.isfinite(dishonest_benefit(FAV.d, gamma, 1))
-
-
 # ---------------------------------------------------------------- regions
 
 def test_all_honest_is_degenerate():
@@ -283,7 +274,7 @@ def _vec(x):
     return np.asarray(x, dtype=float)
 
 
-def _region_counts_whole_block(d, eps0, honest, n_samples, seed, gamma_high):
+def _region_counts_whole_block(d, eps0, honest, n_samples, seed):
     d = _vec(d)
     r = d.shape[0]
     honest = frozenset(honest)
@@ -303,7 +294,7 @@ def _region_counts_whole_block(d, eps0, honest, n_samples, seed, gamma_high):
     while done < n_samples:
         m = min(_MC_BLOCK, n_samples - done)
         rng = np.random.Generator(np.random.Philox(key=[int(seed), block_idx]))
-        y = rng.uniform(0.0, gamma_high, size=(m, dishonest.size)) * mags
+        y = rng.uniform(0.0, 1.0, size=(m, dishonest.size)) * mags
         r_tot = y.sum(axis=1)
         success = r_tot <= budget
         all_profit = success & np.all(y * r > r_tot[:, None], axis=1)
@@ -324,24 +315,24 @@ SHIPPED_EPS0 = 12.92411160647032
 _SHARES = {"almost_none": 0.05, "half": 0.5, "all": 1.01}
 
 
-def _case(k, share, gamma_high, seed):
-    """k dishonest users (some with D_i = 0) behind two honest ones."""
+def _case(k, share, scale, seed):
+    """k dishonest users (some with D_i = 0) behind two honest ones;
+    ``scale`` stretches the costs and the budget alike."""
     rng = np.random.default_rng(seed)
-    d = rng.uniform(-300.0, 300.0, k + 2)
+    d = scale * rng.uniform(-300.0, 300.0, k + 2)
     d[rng.random(k + 2) < 0.15] = 0.0
     mags = np.abs(d[2:])
-    return d, share * gamma_high * mags.sum() / d.size
+    return d, share * mags.sum() / d.size
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 @pytest.mark.parametrize("share", sorted(_SHARES))
 def test_region_counts_match_whole_block(k, share):
-    gamma_high = (0.3, 1.0, 2.5)[k % 3]
-    d, eps0 = _case(k, _SHARES[share], gamma_high, seed=k)
+    d, eps0 = _case(k, _SHARES[share], (0.3, 1.0, 2.5)[k % 3], seed=k)
     n = 3 * _MC_CHUNK + 17
-    for g in (gamma_high, 0.0):
-        got = _region_counts(d, eps0, {0, 1}, n, 11 + k, g)
-        assert got == _region_counts_whole_block(d, eps0, {0, 1}, n, 11 + k, g)
+    for costs in (d, 0.0 * d):  # every understatement 0 in the second pass
+        got = _region_counts(costs, eps0, {0, 1}, n, 11 + k)
+        assert got == _region_counts_whole_block(costs, eps0, {0, 1}, n, 11 + k)
         assert sum(got.values()) == n
 
 
@@ -352,10 +343,10 @@ def test_region_counts_reuse_the_buffer(monkeypatch, chunk, k):
     holds the previous chunk's draws."""
     monkeypatch.setattr("gridbargain.bargaining._MC_CHUNK", chunk)
     n = 37 if chunk == 1 else 3 * chunk + 2
-    for share, gamma_high in (("almost_none", 0.3), ("half", 1.0), ("all", 2.5)):
-        d, eps0 = _case(k, _SHARES[share], gamma_high, seed=chunk + k)
-        assert (_region_counts(d, eps0, {0, 1}, n, k, gamma_high)
-                == _region_counts_whole_block(d, eps0, {0, 1}, n, k, gamma_high))
+    for share, scale in (("almost_none", 0.3), ("half", 1.0), ("all", 2.5)):
+        d, eps0 = _case(k, _SHARES[share], scale, seed=chunk + k)
+        assert (_region_counts(d, eps0, {0, 1}, n, k)
+                == _region_counts_whole_block(d, eps0, {0, 1}, n, k))
 
 
 @pytest.mark.parametrize("n", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1,
@@ -363,15 +354,15 @@ def test_region_counts_reuse_the_buffer(monkeypatch, chunk, k):
 def test_region_counts_match_whole_block_across_sizes(n):
     for share in ("half", "all"):
         d, eps0 = _case(9, _SHARES[share], 1.0, seed=n)
-        assert (_region_counts(d, eps0, {0, 1}, n, 3, 1.0)
-                == _region_counts_whole_block(d, eps0, {0, 1}, n, 3, 1.0))
+        assert (_region_counts(d, eps0, {0, 1}, n, 3)
+                == _region_counts_whole_block(d, eps0, {0, 1}, n, 3))
 
 
 @pytest.mark.parametrize("eps0", [-1.0, 0.0, SHIPPED_EPS0])
 def test_region_counts_match_whole_block_edge_budgets(eps0):
     for honest in ((), (0,), (0, 1, 2, 3)):
-        assert (_region_counts(SHIPPED_D, eps0, honest, 40_000, 8, 1.0)
-                == _region_counts_whole_block(SHIPPED_D, eps0, honest, 40_000, 8, 1.0))
+        assert (_region_counts(SHIPPED_D, eps0, honest, 40_000, 8)
+                == _region_counts_whole_block(SHIPPED_D, eps0, honest, 40_000, 8))
 
 
 @pytest.mark.parametrize("k, zeros, seed", [(1, 0, 0), (3, 2, 1), (3, 0, 2), (7, 0, 3),
@@ -388,8 +379,8 @@ def test_region_counts_match_whole_block_on_the_boundary(k, zeros, seed):
     draws = np.random.Generator(np.random.Philox(key=[seed, 0])).uniform(0.0, 1.0, (8, k))
     for row_sum in (draws * mags).sum(axis=1):
         eps0 = row_sum / r
-        assert (_region_counts(d, eps0, honest, 20_000, seed, 1.0)
-                == _region_counts_whole_block(d, eps0, honest, 20_000, seed, 1.0))
+        assert (_region_counts(d, eps0, honest, 20_000, seed)
+                == _region_counts_whole_block(d, eps0, honest, 20_000, seed))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9])
@@ -406,12 +397,12 @@ def test_region_counts_do_not_depend_on_the_worker_count(monkeypatch, chunk, k):
         monkeypatch.setattr("gridbargain.bargaining._MC_BLOCK", 64)
         monkeypatch.setitem(globals(), "_MC_BLOCK", 64)
     for n in (1, 3, 4 * chunk + 2, _MC_BLOCK + 1):
-        for share, gamma_high in (("half", 1.0), ("all", 2.5)):
-            d, eps0 = _case(k, _SHARES[share], gamma_high, seed=n + k)
-            want = _region_counts_whole_block(d, eps0, {0, 1}, n, k, gamma_high)
+        for share, scale in (("half", 1.0), ("all", 2.5)):
+            d, eps0 = _case(k, _SHARES[share], scale, seed=n + k)
+            want = _region_counts_whole_block(d, eps0, {0, 1}, n, k)
             for workers in (1, 2, 3, 7):
                 monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: workers)
-                assert _region_counts(d, eps0, {0, 1}, n, k, gamma_high) == want
+                assert _region_counts(d, eps0, {0, 1}, n, k) == want
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 16])
@@ -440,7 +431,7 @@ def test_mc_workers_are_capped_whatever_the_cpus(monkeypatch):
     assert mc_workers(_MC_BLOCK) == _MC_MAX_WORKERS
     assert mc_workers(2 * _MC_CHUNK) == min(2, _MC_MAX_WORKERS)
     stats = {}
-    _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 100_000, 0, 1.0, stats)
+    _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 100_000, 0, stats)
     assert stats == {"mc_workers": _MC_MAX_WORKERS}
 
 
@@ -454,13 +445,13 @@ def test_region_counts_report_the_workers_they_ran_on(monkeypatch, honest, n, wo
 
 
 def test_region_counts_golden_shipped():
-    got = _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+    got = _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0)
     assert got == {"all_dishonest_profit": 184, "bargaining_fails": 997172,
                    "succeeds_some_lose": 2644}
 
 
-def _exact_failure_probability(d, eps0, honest, gamma_high=1.0):
-    """P(sum_i gamma_i |D_i| > r eps0) for gamma_i ~ U[0, gamma_high].
+def _exact_failure_probability(d, eps0, honest):
+    """P(sum_i gamma_i |D_i| > r eps0) for gamma_i ~ U[0, 1].
 
     Inclusion-exclusion over the vertices of the box: the volume of
     {u in [0, 1]^k : sum a_i u_i <= B} is
@@ -468,7 +459,7 @@ def _exact_failure_probability(d, eps0, honest, gamma_high=1.0):
     """
     d = _vec(d)
     budget = d.size * float(eps0)
-    a = [gamma_high * abs(d[i]) for i in range(d.size) if i not in honest and d[i] != 0.0]
+    a = [abs(d[i]) for i in range(d.size) if i not in honest and d[i] != 0.0]
     terms = [(-1) ** len(S) * max(budget - sum(S), 0.0) ** len(a)
              for n in range(len(a) + 1) for S in itertools.combinations(a, n)]
     return 1.0 - math.fsum(terms) / (math.factorial(len(a)) * math.prod(a))
@@ -491,7 +482,7 @@ def test_failure_probability_matches_inclusion_exclusion(d, eps0, honest):
 def test_region_counts_memory_is_chunk_sized():
     tracemalloc.start()
     try:
-        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -503,7 +494,7 @@ def test_region_counts_memory_is_chunk_sized_on_many_cpus(monkeypatch):
     monkeypatch.setattr("gridbargain.bargaining._cpus", lambda: 64)
     tracemalloc.start()
     try:
-        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0, 1.0)
+        _region_counts(SHIPPED_D, SHIPPED_EPS0, {0}, 1_000_000, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,8 +506,6 @@ def test_region_counts_memory_is_chunk_sized_on_many_cpus(monkeypatch):
     ({"n_samples": -5}, InvariantViolation),
     ({"honest": {4}}, InvariantViolation),
     ({"honest": {-1}}, InvariantViolation),
-    ({"gamma_high": -0.5}, NegativeGamma),
-    ({"gamma_high": float("inf")}, InvariantViolation),
     ({"seed": -1}, InvariantViolation),
     ({"seed": 2 ** 64}, InvariantViolation),
     ({"seed": 1.7}, InvariantViolation),

@@ -1,10 +1,14 @@
 """Command line driver: exit codes, file outputs, reproducibility."""
 
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridbargain import allocate, cli, data_path, selfish_cost
 from gridbargain.bargaining import PREDICATES
@@ -450,8 +454,11 @@ def test_exit_2_bad_codes_override(tmp_path):
     {"consensus": {"tol": "x"}},
     {"consensus": {"tol": 0.0}},
     {"consensus": {"max_iter": 0}},
+    {"codes": {"cost_tol_abs": float("inf")}},
+    {"codes": {"cost_tol_rel": float("inf")}},
 ], ids=["grid_ramp", "init_jitter", "max_rounds_word", "record_messages_word", "consensus_foo",
-        "consensus_tol_word", "consensus_tol_0", "consensus_max_iter_0"])
+        "consensus_tol_word", "consensus_tol_0", "consensus_max_iter_0", "cost_tol_abs_inf",
+        "cost_tol_rel_inf"])
 def test_exit_2_bad_codes_or_consensus_section_before_any_solve(tmp_path, section):
     cfg = _bridge_experiment(tmp_path)
     doc = yaml.safe_load((tmp_path / "e.yaml").read_text())
@@ -460,6 +467,18 @@ def test_exit_2_bad_codes_or_consensus_section_before_any_solve(tmp_path, sectio
     out = tmp_path / "out"
     assert cli.main(["report", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # the experiment was refused before any output or solve
+
+
+@pytest.mark.parametrize("command", ["bargain", "report"])
+@pytest.mark.parametrize("top", [float("nan"), float("inf"), -1.0])
+def test_exit_2_bad_gamma_sweep_max_before_any_solve(tmp_path, monkeypatch, command, top):
+    def no_solve(*args):
+        raise AssertionError("the schedule ran")
+    monkeypatch.setattr(cli, "_schedule", no_solve)
+    cfg = _experiment(tmp_path, gamma_sweep={"users": [2], "num": 3, "max": top})
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("solver", ["centralized", "distributed"])
@@ -478,11 +497,16 @@ def test_exit_2_nan_demand(tmp_path, solver):
     ["bargain", "--d-vector", "1,2,3", "--jsoc", "3", "--gamma", "0,nan,0",
      "--samples", "0"],
     ["region", "--d-vector", "1,-inf,3", "--jsoc", "3", "--samples", "10"],
+    # finite flags whose sums overflow, or whose solo bound r eps0 / |D_i| does
+    ["bargain", "--d-vector=1e308,1e308", "--jsoc", "0", "--samples", "0"],
+    ["region", "--d-vector=1e308,1e308", "--jsoc", "0", "--samples", "10"],
+    ["region", "--d-vector=0,1e308", "--jsoc", "0", "--samples", "4"],
+    ["bargain", "--d-vector=5e-324", "--jsoc", "1", "--samples", "0"],
 ])
 def test_exit_2_non_finite_numbers(tmp_path, argv):
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert not (out / "bargain.json").exists()
+    assert not any(out.glob("*.json"))
 
 
 def test_exit_2_non_finite_experiment_gamma(tmp_path):
@@ -529,3 +553,43 @@ def test_exit_4_gamma_exceeds_budget(tmp_path):
     rep = _read(out / "bargain.json")  # the post-mortem is still written
     assert rep["resilience"]["success"] is False
     assert rep["resilience"]["epsilon"] < 0.0
+
+
+# ------------------------------------------------------------ flag properties
+
+_NUMBER = st.floats() | st.sampled_from([0.0, 1e308, -1e308, 5e-324, 14.8275])
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _floats_flag(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["bargain", "region"]),
+       d=st.lists(_NUMBER, min_size=1, max_size=5), jsoc=_NUMBER,
+       gamma=st.none() | st.lists(st.floats(), min_size=1, max_size=5),
+       honest=st.none() | st.lists(st.integers(-1, 6), max_size=4),
+       samples=st.integers(-2, 300), seed=st.none() | st.integers(-1, 2 ** 64))
+def test_bargain_and_region_flags_exit_cleanly(command, d, jsoc, gamma, honest, samples,
+                                               seed):
+    """Any values of the number flags end in exit 0, 2 or 4, never in a
+    traceback, and every JSON file written is strict: no NaN or Infinity."""
+    argv = [command, f"--d-vector={_floats_flag(d)}", f"--jsoc={jsoc!r}",
+            f"--samples={samples}"]
+    if gamma is not None and command == "bargain":
+        argv.append(f"--gamma={_floats_flag(gamma)}")
+    if honest is not None:
+        argv.append(f"--honest={','.join(map(str, honest))}")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out"
+        assert cli.main(argv + ["--out", str(out)]) in (0, 2, 4)
+        for path in out.glob("*.json"):
+            _strict_json(path)

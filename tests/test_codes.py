@@ -202,6 +202,11 @@ def test_config_validation():
         CodesConfig(check_every=2.5)
     with pytest.raises(InvariantViolation):
         CodesConfig(cost_tol_rel="small")
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvariantViolation):
+            CodesConfig(cost_tol_abs=bad)
+        with pytest.raises(InvariantViolation):
+            CodesConfig(cost_tol_rel=bad)
 
 
 def test_relinearization_is_deterministic_and_feasible(soc_dependent):

@@ -82,11 +82,15 @@ def test_two_nodes_meet_in_the_middle():
 def test_conservation_and_contraction(rng):
     W = metropolis_weights(random_connected_graph(rng, 7), 7)
     x0 = rng.uniform(-100, 100, size=7)
-    run = run_average_consensus(x0, W, record=True)
-    sums = run.trajectory.sum(axis=1)
-    np.testing.assert_allclose(sums, sums[0], atol=1e-9)
-    spreads = run.trajectory.max(axis=1) - run.trajectory.min(axis=1)
-    assert np.all(np.diff(spreads) <= 1e-12)
+    run = run_average_consensus(x0, W)
+    x, spread = x0, np.ptp(x0)
+    for _ in range(run.iterations):
+        x = W @ x
+        np.testing.assert_allclose(x.sum(), x0.sum(), atol=1e-9)
+        assert np.ptp(x) <= spread + 1e-12
+        spread = np.ptp(x)
+    np.testing.assert_array_equal(run.final, x)
+    np.testing.assert_allclose(run.final.sum(), x0.sum(), atol=1e-9)
 
 
 def test_budget_exhaustion_raises():

@@ -200,9 +200,7 @@ def test_permutation_invariance(rng):
 def test_forecast_all_covers_pools(reference_pools, favorable_rg):
     assert set(favorable_rg.profiles) == {"u1", "u3", "u4"}
     for uid, pool in reference_pools.items():
-        prof = favorable_rg.get(uid)
+        prof = favorable_rg.profiles[uid]
         assert prof.shape == (24,)
         assert np.all(prof >= pool.profiles.min(axis=0) - 1e-9)
         assert np.all(prof <= pool.profiles.max(axis=0) + 1e-9)
-    # users without a generator read as zeros
-    np.testing.assert_array_equal(favorable_rg.get("u2", T=24), np.zeros(24))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -202,8 +202,8 @@ def test_solo_is_pooled_problem_of_one_user():
                 horizon=m.horizon, users=(u,), demands=m.demands[k:k + 1],
                 prices=m.prices, grid=m.grid))
             solo = solve_individual(u, m.demands[k], m.prices, m.grid, m.horizon,
-                                    rg_profile=rg.get(u.id), refill_terminal=True)
-            pooled = solve_social(alone, rg, refill_terminal=True)
+                                    rg_profile=rg.get(u.id))
+            pooled = solve_social(alone, rg)
             assert solo.cost == pooled.social_cost
             assert solo.bdc_cost == pooled.bdc_costs.get(u.id, 0.0)
             np.testing.assert_array_equal(solo.decision.grid_buy, pooled.decision.grid_buy)
@@ -591,7 +591,7 @@ _BATTERIES = (
 )
 
 
-def _dense_state_lp(ports, T, dt, refill_terminal):
+def _dense_state_lp(ports, T, dt):
     """The state-form storage LP laid out densely, from identity blocks."""
     batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
     n_ports = 2 * T * len(ports)
@@ -608,8 +608,6 @@ def _dense_state_lp(ports, T, dt, refill_terminal):
         A[rows, n_ports + T * b:n_ports + T * (b + 1)] = I - np.eye(T, k=-1)
         b_eq[T * (b + 1)] = d.e0
         lo[n_ports + T * b:n_ports + T * (b + 1)] = d.e_min
-        if refill_terminal:
-            lo[n_ports + T * (b + 1) - 1] = d.e0
     return A, b_eq, np.column_stack([lo, hi])
 
 
@@ -624,13 +622,12 @@ def _ports(layout, batteries, grid=(12.0, None)):
             "cleanup": [batteries[-1]], "rebalance": [batteries[-1], grid]}[layout]
 
 
-@pytest.mark.parametrize("refill_terminal", [False, True])
 @pytest.mark.parametrize("layout", _LAYOUTS)
-def test_storage_lp_is_the_dense_layout(layout, refill_terminal):
+def test_storage_lp_is_the_dense_layout(layout):
     T, dt = 7, 0.3  # not a power of two, so the order of the scalings shows
     ports = _ports(layout, _BATTERIES if layout == "pooled" else _BATTERIES[:2])
-    lp = _storage_lp(ports, T, dt, refill_terminal)
-    A, b_eq, bounds = _dense_state_lp(ports, T, dt, refill_terminal)
+    lp = _storage_lp(ports, T, dt)
+    A, b_eq, bounds = _dense_state_lp(ports, T, dt)
     assert np.array_equal(lp["A_eq"].toarray(), A)
     assert np.all(lp["A_eq"].data != 0.0)  # no explicit zeros stored
     n_batteries = sum(d is not None for _, d in ports)
@@ -671,17 +668,17 @@ def _storage_programs(draw):
     c = np.array(draw(st.lists(costs, min_size=2 * T * len(ports),
                                max_size=2 * T * len(ports))))
     bus = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=T, max_size=T)))
-    return ports, T, draw(st.booleans()), c, bus
+    return ports, T, c, bus
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_storage_programs())
 def test_state_lp_matches_the_cumulative_layout(program):
     """Same optimum and same feasibility as the cumulative SOC rows."""
-    ports, T, refill_terminal, c, bus = program
+    ports, T, c, bus = program
     dt = 0.3
-    lp = _storage_lp(ports, T, dt, refill_terminal)
-    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, refill_terminal)
+    lp = _storage_lp(ports, T, dt)
+    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, False)
     n = c.size
     oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=bus,
                      bounds=lp["bounds"][:n], method="highs")
@@ -708,7 +705,7 @@ def test_pooled_lp_assembly_memory():
     ports = [(200.0, None)] + [(d.p_b_max, d) for d in _BATTERIES * 20]
     tracemalloc.start()
     try:
-        lp = _storage_lp(ports, T, 0.25, refill_terminal=True)
+        lp = _storage_lp(ports, T, 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -754,35 +751,63 @@ def _battery_grid_programs(draw):
     step = st.floats(-1.0, 1.0).map(lambda f: f * reach * (p_g_max + desd.p_b_max))
     net = np.array(draw(st.lists(surplus if draw(st.booleans()) else step | surplus,
                                  min_size=T, max_size=T)))
-    return desd, T, dt, unit, PriceProfile(buy=buy, sell=sell), net, p_g_max, draw(st.booleans())
+    return desd, T, dt, unit, PriceProfile(buy=buy, sell=sell), net, p_g_max
+
+
+def _burn_ray_program():
+    """A full battery one ulp below kappa = 1, a surplus at the grid
+    rating on every step and a step 2e-16 kW past it. The optimum is
+    free; the DP's value, before it stopped returning one, read 0.667
+    for a schedule that costs 5.6e-17, from burn-ray slopes of ~1e16
+    times rounding-sized segment lengths."""
+    T, dt = 83, 0.25
+    desd = DesdParams(e0=1.0, e_min=0.0, e_max=1.0, p_b_max=2.0,
+                      kappa=np.nextafter(1.0, 0.0))
+    unit = np.zeros(T)
+    unit[:9] = unit[68:] = 1.0
+    net = np.full(T, -1.0)
+    net[8] = -1.0000000000000002
+    prices = PriceProfile(buy=np.full(T, 10.0), sell=np.zeros(T))
+    return desd, T, dt, unit, prices, net, 1.0
+
+
+def _schedule_cost(program, discharge, charge):
+    """Trading plus degradation cost in cents of a battery schedule, the
+    grid covering the rest of ``net`` at the cheapest exchange."""
+    desd, T, dt, unit, prices, net, p_g_max = program
+    grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
+    buy, sell = _forced_exchange(grid, prices, p_g_max, "cost")
+    return (trading_cost(prices, buy, sell, dt)
+            + float(np.sum(unit * (discharge + charge)) * dt))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_battery_grid_programs())
+@example(_burn_ray_program())
 def test_battery_and_grid_dp_matches_highs(program):
-    """Same feasibility verdict and optimum as HiGHS on the cumulative layout."""
-    desd, T, dt, unit, prices, net, p_g_max, refill_terminal = program
+    """Same feasibility verdict as HiGHS on the cumulative layout, and a
+    schedule that costs HiGHS's optimum."""
+    desd, T, dt, unit, prices, net, p_g_max = program
     ports = [(p_g_max, None), (desd.p_b_max, desd)]
-    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, refill_terminal)
+    A_ub, b_ub, A_eq = cumulative_storage_lp(ports, T, dt, False)
     c = np.concatenate([prices.buy, -prices.sell, unit, unit]) * dt
     bounds = [(0.0, p_g_max)] * (2 * T) + [(0.0, desd.p_b_max)] * (2 * T)
     oracle = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=net, bounds=bounds,
                      method="highs",
                      options={"dual_feasibility_tolerance": 1e-10,
                               "primal_feasibility_tolerance": 1e-10})
-    sched = _battery_and_grid(desd, unit, prices.buy, prices.sell, net, p_g_max, dt,
-                              refill_terminal)
+    sched = _battery_and_grid(desd, unit, prices.buy, prices.sell, net, p_g_max, dt)
     assert oracle.status in (0, 2)
     assert (sched is None) == (oracle.status == 2)
     if sched is None:
         return
 
-    value, discharge, charge = sched
+    discharge, charge = sched
     grid = np.clip(net - (discharge - charge), -p_g_max, p_g_max)
     x = np.concatenate([*_forced_exchange(grid, prices, p_g_max, "dp"), discharge, charge])
     tol = 1e-9 * max(1.0, abs(oracle.fun))
     assert abs(float(c @ x) - oracle.fun) <= tol
-    assert abs(value - oracle.fun) <= tol
+    assert abs(_schedule_cost(program, discharge, charge) - oracle.fun) <= tol
     assert np.all(np.abs(A_eq @ x - net) <= 1e-9)
     assert np.all(A_ub @ x <= b_ub + 1e-9)
     hi = np.array([cap for _, cap in bounds])
@@ -796,17 +821,20 @@ def test_battery_and_grid_burns_a_surplus_beyond_the_grid_rating():
     and nothing cheaper is feasible."""
     desd = DesdParams(e0=5.0, e_min=0.0, e_max=5.0, p_b_max=3.0, kappa=0.8)
     flat = PriceProfile(buy=np.full(1, 10.0), sell=np.full(1, 5.0))
-    value, discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
-                                                 np.array([-1.9]), 1.0, 1.0)
+    program = desd, 1, 1.0, np.ones(1), flat, np.array([-1.9]), 1.0
+    discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
+                                          np.array([-1.9]), 1.0, 1.0)
     np.testing.assert_allclose(discharge, [1.6], atol=1e-12)
     np.testing.assert_allclose(charge, [2.5], atol=1e-12)
-    assert value == pytest.approx(1.6 + 2.5 - 5.0, abs=1e-12)  # wear, less 1 kW sold
+    # wear, less 1 kW sold
+    assert _schedule_cost(program, discharge, charge) == pytest.approx(1.6 + 2.5 - 5.0,
+                                                                       abs=1e-12)
     assert _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
                              np.array([-2.2]), 1.0, 1.0) is None
     # One ulp below kappa = 1 the ray would burn 4.5e15 kWh per kWh of
     # SOC drop; an empty battery just stores what the grid cannot take.
     desd = DesdParams(e0=0.0, e_min=0.0, e_max=2.0, p_b_max=5.0, kappa=np.nextafter(1.0, 0.0))
-    _, discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
-                                             np.array([-5.7]), 1.0, 0.25)
+    discharge, charge = _battery_and_grid(desd, np.ones(1), flat.buy, flat.sell,
+                                          np.array([-5.7]), 1.0, 0.25)
     assert discharge[0] == 0.0
     assert charge[0] == pytest.approx(4.7, abs=1e-12)
