@@ -506,6 +506,8 @@ def test_region_counts_memory_is_chunk_sized_on_many_cpus(monkeypatch):
     ({"n_samples": -5}, InvariantViolation),
     ({"honest": {4}}, InvariantViolation),
     ({"honest": {-1}}, InvariantViolation),
+    ({"honest": {0, 4}}, InvariantViolation),
+    ({"seed": np.int64(-1)}, InvariantViolation),
     ({"seed": -1}, InvariantViolation),
     ({"seed": 2 ** 64}, InvariantViolation),
     ({"seed": 1.7}, InvariantViolation),
