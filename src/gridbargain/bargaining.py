@@ -24,6 +24,7 @@ draws.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -320,6 +321,25 @@ def _honest_indices(honest, r):
     return honest
 
 
+def _check_tally_scale(d, eps0, honest):
+    """Refuse a tally whose inputs are not finite or whose sums overflow.
+
+    The tally compares r y_j, with y_j <= |D_j| for each dishonest j,
+    and their sum R_tot against the budget r eps0; all of them are
+    finite floats when r sum |D_dishonest| and r eps0 are. The bounds
+    are summed in Python floats, which overflow to inf without a
+    warning.
+    """
+    d, eps0 = d.tolist(), float(eps0)
+    if not all(map(math.isfinite, d + [eps0])):
+        raise InvariantViolation(["the Monte Carlo needs finite costs d and eps0"])
+    r = len(d)
+    dishonest = sum(abs(x) for i, x in enumerate(d) if i not in honest)
+    if not (math.isfinite(r * dishonest) and math.isfinite(r * eps0)):
+        raise InvariantViolation([
+            "costs too large: r sum |D_dishonest| or r eps0 overflows a float"])
+
+
 def check_seed(seed, what="seed"):
     """``seed`` as an int if it can key the Monte Carlo's generators
     (Philox takes an unsigned 64-bit key), else InvariantViolation."""
@@ -336,13 +356,17 @@ def region_probabilities(d, eps0, honest, n_samples, seed=0, *, stats=None):
     as ``d`` scaled by g at the same ``eps0``. ``honest`` holds 0-based
     user indices; the sample count must be positive and ``seed`` an
     integer in [0, 2**64). A ``stats`` dict receives ``mc_workers``, the
-    threads the tally ran on (0 when every user is honest).
+    threads the tally ran on (0 when every user is honest). Costs and
+    ``eps0`` must be finite, and r sum |D_dishonest| and r eps0 must be
+    finite floats.
     """
-    honest = _honest_indices(honest, _vec(d).shape[0])
+    d = _vec(d)
+    honest = _honest_indices(honest, d.shape[0])
     seed = check_seed(seed)
     n_samples = int(n_samples)
     if n_samples < 1:
         raise InvariantViolation(f"the Monte Carlo needs at least one sample, got {n_samples}")
+    _check_tally_scale(d, eps0, honest)
     counts = _region_counts(d, eps0, honest, n_samples, seed, stats)
     out = {}
     for name, c in counts.items():
@@ -364,7 +388,9 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     gamma = 0 pinned for ``honest`` users, whose 0-based indices are
     checked whether or not the Monte Carlo runs. A ``stats`` dict
     receives ``mc_workers`` as from ``region_probabilities``, 0 when the
-    Monte Carlo does not run.
+    Monte Carlo does not run. The costs and j_soc must be finite and
+    r (sum |D_i| + |j_soc|) a finite float, as the CLI asks of every
+    bargain, before eps0 is formed from them.
     """
     d = _vec(d)
     r = d.shape[0]
@@ -372,6 +398,9 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     if gamma.shape != (r,):
         raise InvariantViolation(f"gamma has shape {gamma.shape} but there are {r} users")
     honest = _honest_indices(honest or (), r)
+    if not math.isfinite(r * (sum(abs(x) for x in d.tolist()) + abs(float(j_soc)))):
+        raise InvariantViolation([
+            "costs too large or not finite: r (sum |D_i| + |J_soc|) is not a finite float"])
     eps0 = (float(d.sum()) - float(j_soc)) / r
     r_tot = float(np.sum(gamma * np.abs(d)))
     declared = allocate(selfish_cost(d, gamma), j_soc)  # also validates gamma

@@ -40,10 +40,8 @@ each user in turn re-solve against the true tariff together with the
 grid. Each of those best responses, one battery plus the grid, is the exact
 DP of ``scheduling`` too. A final per-user cleanup pass re-times each
 storage schedule at fixed net injection, which removes any simultaneous
-charge/discharge the averaging introduced. That is the only LP
-(HiGHS): the pooled LP of ``scheduling._storage_lp`` on the battery's
-port alone, with the state of charge as a column per step, built once
-per run for each user.
+charge/discharge the averaging introduced. It is the same DP with the
+grid rated 0 kW, so a run calls no LP solver at all.
 
 The routine is deterministic: a given (model, rg, config) gives the
 same result bit for bit.
@@ -56,14 +54,15 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# Never called: bench/spans.py traces codes.linprog, and the benchmark
+# change of ROADMAP item 1 removes this name together with that entry.
+from scipy.optimize import linprog  # noqa: F401
 
 from .consensus import metropolis_weights
 from .errors import InvariantViolation, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
 from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
-                         _linprog_input, _lp_keywords, _rg_profiles, _storage_dp, _storage_lp,
-                         trading_cost)
+                         _rg_profiles, _storage_dp, trading_cost)
 
 __all__ = [
     "CodesConfig",
@@ -155,10 +154,8 @@ class _UserLocal:
     ``scheduling._storage_dp`` in energy units, two segments per step:
     fill less at -beta per kWh (y = kappa charge dt up to Y) and drain
     more at alpha (x = discharge dt / kappa up to X). The round-robin
-    rebalance is the same DP on the battery-plus-grid program. Only the
-    rare cleanup stays an LP, on the port [battery] of
-    ``scheduling._storage_lp`` (the battery's energy columns follow the
-    port), built here once.
+    rebalance is the same DP on the battery-plus-grid program, and the
+    cleanup is that program with the grid rated 0 kW.
     """
 
     def __init__(self, desd, T, dt, p_max):
@@ -166,7 +163,6 @@ class _UserLocal:
         kappa = desd.kappa
         self._X, self._Y = desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt
         self._dp_args = (desd.e_max - desd.e_min, desd.e0 - desd.e_min)
-        self._cleanup = _linprog_input(_storage_lp([(desd.p_b_max, desd)], T, dt))
 
     def _steps(self, unit_cost, lam):
         alpha = (unit_cost - lam) * self.desd.kappa
@@ -188,13 +184,17 @@ class _UserLocal:
         return _storage_dp(self._steps(unit_cost, lam), *self._dp_args, False)[0]
 
     def min_throughput(self, unit_cost, net):
-        """Cheapest schedule with the given net injection (cleanup pass)."""
-        T = self.T
-        c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
-        res = linprog(**_lp_keywords(self._cleanup, c, net), method="highs")
-        if res.status != 0:
-            raise SolverStall(f"cleanup pass failed: {res.message}")
-        return res.x[:T], res.x[T:2 * T]
+        """Cheapest schedule with the given net injection (cleanup pass).
+
+        With the grid rated 0 kW the battery alone covers ``net``: each
+        step takes its least SOC drop, and past it only burns energy.
+        """
+        zero = np.zeros(self.T)
+        # 1e-9 per kWh of throughput breaks zero-cost ties toward idling
+        sched = _battery_and_grid(self.desd, unit_cost + 1e-9, zero, zero, net, 0.0, self.dt)
+        if sched is None:
+            raise SolverStall("cleanup pass: no schedule has this net injection")
+        return sched
 
     def social_response(self, unit_cost, pb, ps, resid):
         """Best response against the true tariff with everyone else frozen.

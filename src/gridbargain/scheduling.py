@@ -26,11 +26,12 @@ The number of batteries in the program picks the solver:
 
 * none: balance forces the grid exchange, and the cheapest one has a
   closed form (``_forced_exchange``);
-* one (every solo schedule, and the distributed solver's local steps):
-  ``_storage_dp``, an exact backward DP over the convex
-  piecewise-linear value of stored energy. ``_battery_and_grid`` builds
-  each step's battery-plus-grid cost with array operations. On equal
-  slopes the DP ends the hour at the higher state of charge;
+* one (every solo schedule, and every program of the distributed
+  solver: its local steps, rebalance and cleanup): ``_storage_dp``, an
+  exact backward DP over the convex piecewise-linear value of stored
+  energy. ``_battery_and_grid`` builds each step's battery-plus-grid
+  cost with array operations. On equal slopes the DP ends the hour at
+  the higher state of charge;
 * two or more: HiGHS, on the LP that ``_storage_lp`` lays out from an
   ordered list of ports: the grid, then each battery. Each battery's
   state of charge is a column per step, tied to the previous step's by
@@ -38,8 +39,7 @@ The number of batteries in the program picks the solver:
   matrix, built once per run straight from index arrays, holds O(T)
   nonzeros per battery. LPs small enough that scipy takes dense input
   faster reach ``linprog`` dense; HiGHS receives the same matrix either
-  way. The distributed solver's cleanup LP is the same builder on one
-  port.
+  way.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -406,7 +406,10 @@ def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt):
     surplus, at 2 c / (1 / kappa - kappa) per kWh of v. The grid's
     rating and the battery's cut the domain. Unit costs and prices
     must be >= 0, as a validated model has them: then no schedule burns
-    energy it could sell.
+    energy it could sell. With the grid rated 0 kW the battery covers
+    ``net`` alone, which is the distributed solver's cleanup at fixed
+    net injection: each step takes its least SOC drop, and any drop past
+    it is the burn ray.
 
     Returns the battery's discharge and charge of an optimal schedule,
     or None when no schedule is feasible.

@@ -18,18 +18,27 @@ MAX_OUTER passes are spent. It stays here, verbatim but for its name
 and the options the package no longer takes, as the oracle whose
 schedules, SOC paths and costs the shipped loop must return bit for
 bit.
+
+``cleanup_lp`` is the distributed solver's cleanup pass as the package
+ran it before it became the battery-and-grid DP with the grid rated
+0 kW: HiGHS on ``_storage_lp`` over the one port [battery], each kW of
+throughput at the unit cost plus 1e-9, the bus held at the net
+injection. It stays here as the oracle for ``_UserLocal.min_throughput``,
+at HiGHS tolerances of 1e-10: at the default 1e-7 it leaves a net
+injection of a few nW uncovered.
 """
 
 from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
+from scipy.optimize import linprog
 
 from gridbargain.errors import Infeasible, SolverStall
 from gridbargain.model import ConstantBdc
 from gridbargain.scheduling import (CONVERGED_DELTA_CENTS, FEAS_TOL, MAX_OUTER,
                                     _battery_and_grid, _costed, _forced_exchange,
-                                    _linprog_input, _solve_lp, _storage_lp)
+                                    _linprog_input, _lp_keywords, _solve_lp, _storage_lp)
 
 
 def cumulative_storage_lp(ports, T, dt, refill_terminal):
@@ -209,3 +218,15 @@ def relinearize_every_pass(users, net, prices, p_g_max, T, dt, what):
                                  dtype=float)
                 for u in active}
     return replace(best, outer_iterations=outer)
+
+
+def cleanup_lp(desd, T, dt, unit_cost, net):
+    """Cheapest schedule with the given net injection, by HiGHS."""
+    lp = _linprog_input(_storage_lp([(desd.p_b_max, desd)], T, dt))
+    c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
+    res = linprog(**_lp_keywords(lp, c, net), method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise SolverStall(f"cleanup pass failed: {res.message}")
+    return res.x[:T], res.x[T:2 * T]

@@ -515,6 +515,12 @@ def test_region_counts_memory_is_chunk_sized_on_many_cpus(monkeypatch):
     ({"seed": "3"}, InvariantViolation),
     ({"seed": True}, InvariantViolation),
     ({"seed": None}, InvariantViolation),
+    ({"d": [0.0, 1e308], "eps0": 5e307, "honest": ()}, InvariantViolation),
+    ({"eps0": np.nan}, InvariantViolation),
+    ({"eps0": np.inf}, InvariantViolation),
+    ({"d": (-61.33, np.inf, 101.48, -23.34)}, InvariantViolation),
+    ({"d": (-61.33, 481.18, np.nan, -23.34)}, InvariantViolation),
+    ({"eps0": 1e308}, InvariantViolation),
 ])
 def test_region_probabilities_rejects_bad_arguments(monkeypatch, kwargs, error):
     def no_tally(*args):
@@ -523,6 +529,30 @@ def test_region_probabilities_rejects_bad_arguments(monkeypatch, kwargs, error):
     args = dict(d=FAV.d, eps0=FAV.eps0, honest={0}, n_samples=100)
     with pytest.raises(error):
         region_probabilities(**dict(args, **kwargs))
+
+
+def test_region_probabilities_bounds_only_the_dishonest_costs():
+    """An honest user's cost never enters the tally's sums, so it may be
+    near the float range; the tally then runs without a numpy warning."""
+    out = region_probabilities([1e308, 1.0], 0.5, {0}, 100)
+    assert out["all_dishonest_profit"].probability == 1.0
+
+
+@pytest.mark.parametrize("d, j_soc", [
+    ([0.0, 1e308], -5e307),
+    ([1e308, 1e308, 1e308], -1e308),
+    ([1.0, np.nan], 3.0),
+    ([1.0, np.inf], 3.0),
+    ([1.0, 2.0], np.inf),
+    ([1.0, 2.0], np.nan),
+])
+@pytest.mark.parametrize("mc_samples", [0, 100])
+def test_resilience_report_refuses_bad_scale(monkeypatch, d, j_soc, mc_samples):
+    def no_tally(*args):
+        raise AssertionError("the tally started")
+    monkeypatch.setattr("gridbargain.bargaining._region_counts", no_tally)
+    with pytest.raises(InvariantViolation):
+        resilience_report(d, j_soc, mc_samples=mc_samples)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])

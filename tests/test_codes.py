@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from gridbargain import codes
+from gridbargain import codes, scheduling
 from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolation,
                          LengthMismatch, PriceProfile, SolverStall, convergence_trace,
                          dump_message_log, run_codes, solve_individual,
                          solve_social, validate_model)
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
-from gridbargain.scheduling import _storage_lp
-from _oracles import cumulative_storage_lp, two_segment_storage_dp
+from gridbargain.model import soc_trajectory
+from _oracles import cleanup_lp, cumulative_storage_lp, two_segment_storage_dp
 
 
 def _tol(cost, config=None):
@@ -377,16 +377,15 @@ def test_wrong_shape_rg_profile_rejected(reference_model):
         run_codes(reference_model, {"u1": np.ones(1)})
 
 
-def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorable_rg):
-    """Each user's cleanup LP is assembled once, not per call, and every
-    cleanup and rebalance answers exactly as a fresh local would."""
-    built = []
+def test_distributed_run_calls_no_lp(monkeypatch, reference_model, favorable_rg):
+    """A run is DP from end to end: no local step, rebalance or cleanup
+    reaches HiGHS, and every cleanup and rebalance answers exactly as a
+    fresh local would."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog was called")
 
-    def counting(*args, **kwargs):
-        built.append(args[0])
-        return _storage_lp(*args, **kwargs)
-
-    monkeypatch.setattr(codes, "_storage_lp", counting)
+    monkeypatch.setattr(codes, "linprog", no_lp)
+    monkeypatch.setattr(scheduling, "linprog", no_lp)
     solves = []
     for name in ("min_throughput", "social_response"):
         def record(self, *args, _real=getattr(_UserLocal, name), _name=name):
@@ -398,7 +397,6 @@ def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorabl
 
     run_codes(reference_model, favorable_rg)
     n_active = sum(u.is_active for u in reference_model.users)
-    assert len(built) == n_active  # the cleanup LP; the rebalance is a DP
     names = [name for name, *_ in solves]
     assert names.count("min_throughput") == n_active and "social_response" in names
 
@@ -408,3 +406,75 @@ def test_local_lps_are_built_once_per_run(monkeypatch, reference_model, favorabl
         fresh = _UserLocal(local.desd, local.T, local.dt, p_max)
         d2, c2 = getattr(fresh, name)(*args)
         assert np.array_equal(discharge, d2) and np.array_equal(charge, c2)
+
+
+# ------------------------------------------------------------ cleanup pass
+
+@st.composite
+def cleanup_programs(draw):
+    """A battery, its unit costs and the net injection of a feasible
+    schedule that may charge and discharge in the same step."""
+    T = draw(st.integers(1, 24))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    e_max = draw(st.floats(1.0, 50.0))
+    e_min = draw(st.just(0.0) | st.floats(0.0, 0.5 * e_max))
+    e0 = draw(st.sampled_from([e_max, e_min]) | st.floats(e_min, e_max))
+    kappa = draw(st.sampled_from([1.0, float(np.nextafter(1.0, 0.0))])
+                 | st.floats(0.5, 1.0, exclude_max=True))
+    p_b_max = draw(st.floats(0.1, 10.0))
+    desd = DesdParams(e0=e0, e_min=e_min, e_max=e_max, p_b_max=p_b_max, kappa=kappa)
+    costs = st.floats(0.0, 5.0)
+    unit = draw(costs.map(lambda c: np.full(T, c))
+                | st.lists(costs, min_size=T, max_size=T).map(np.array))
+    # each step drains a share of what the battery holds and then fills a
+    # share of the room left, so the schedule stays within every bound
+    share = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    net, soc = np.zeros(T), e0
+    for t in range(T):
+        d = draw(share) * min(p_b_max, (soc - e_min) * kappa / dt)
+        soc -= d * dt / kappa
+        c = draw(share) * min(p_b_max, (e_max - soc) / (kappa * dt))
+        soc = min(max(soc + kappa * c * dt, e_min), e_max)
+        net[t] = d - c
+    return desd, T, dt, unit, net
+
+
+def test_cleanup_dp_matches_the_cleanup_lp():
+    """The cleanup DP costs what HiGHS's cleanup LP costs and keeps the
+    net injection, the ratings and the SOC bounds. Enough programs can
+    only be met by charging and discharging at once that the DP's burn
+    ray is exercised."""
+    burns = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(cleanup_programs())
+    def check(program):
+        desd, T, dt, unit, net = program
+        local = _UserLocal(desd, T, dt, p_max=10.0)
+        discharge, charge = local.min_throughput(unit, net)
+        d_lp, c_lp = cleanup_lp(desd, T, dt, unit, net)
+        c = unit + 1e-9
+        f = float(c @ (d_lp + c_lp))
+        assert abs(float(c @ (discharge + charge)) - f) <= 1e-9 * max(1.0, abs(f))
+        assert np.all(np.abs(discharge - charge - net) <= 1e-9)
+        for x in (discharge, charge):
+            assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
+        soc = soc_trajectory(desd, discharge, charge, dt)
+        assert np.all(soc >= desd.e_min - 1e-9) and np.all(soc <= desd.e_max + 1e-9)
+        burns.append(bool(np.any(np.minimum(discharge, charge) > 1e-9)))
+
+    check()
+    assert sum(burns) >= 20, f"only {sum(burns)} of {len(burns)} programs burned energy"
+
+
+def test_cleanup_burns_what_a_full_battery_cannot_store():
+    """A full battery takes 0.9 kW only by cycling: kappa = 0.8 loses
+    0.45 kWh per kWh cycled, so it charges 2.5 kW and discharges 1.6 kW.
+    1.2 kW would need 3.3 kW of charge, above the 3 kW rating."""
+    desd = DesdParams(e0=5.0, e_min=0.0, e_max=5.0, p_b_max=3.0, kappa=0.8)
+    local = _UserLocal(desd, 1, 1.0, p_max=10.0)
+    discharge, charge = local.min_throughput(np.ones(1), np.array([-0.9]))
+    np.testing.assert_allclose(discharge, [1.6], atol=1e-12)
+    np.testing.assert_allclose(charge, [2.5], atol=1e-12)
+    with pytest.raises(SolverStall, match="cleanup pass"):
+        local.min_throughput(np.ones(1), np.array([-1.2]))
