@@ -388,19 +388,25 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     gamma = 0 pinned for ``honest`` users, whose 0-based indices are
     checked whether or not the Monte Carlo runs. A ``stats`` dict
     receives ``mc_workers`` as from ``region_probabilities``, 0 when the
-    Monte Carlo does not run. The costs and j_soc must be finite and
-    r (sum |D_i| + |j_soc|) a finite float, as the CLI asks of every
-    bargain, before eps0 is formed from them.
+    Monte Carlo does not run. The costs, j_soc and gamma must be finite
+    and r ((1 + g) sum |D_i| + |j_soc|) a finite float, g the largest
+    |gamma_i|, as the CLI asks of every bargain, before any sum or
+    product is formed from them.
     """
     d = _vec(d)
     r = d.shape[0]
     gamma = np.zeros(r) if gamma is None else _vec(gamma)
     if gamma.shape != (r,):
         raise InvariantViolation(f"gamma has shape {gamma.shape} but there are {r} users")
+    if not np.all(np.isfinite(gamma)):
+        raise InvariantViolation(f"gamma must be finite, got {gamma}")
     honest = _honest_indices(honest or (), r)
-    if not math.isfinite(r * (sum(abs(x) for x in d.tolist()) + abs(float(j_soc)))):
+    g = max(map(abs, gamma.tolist()), default=0.0)
+    if not math.isfinite(r * ((1.0 + g) * sum(abs(x) for x in d.tolist())
+                              + abs(float(j_soc)))):
         raise InvariantViolation([
-            "costs too large or not finite: r (sum |D_i| + |J_soc|) is not a finite float"])
+            "costs too large or not finite: r ((1 + g) sum |D_i| + |J_soc|), g the largest "
+            "|gamma_i|, is not a finite float"])
     eps0 = (float(d.sum()) - float(j_soc)) / r
     r_tot = float(np.sum(gamma * np.abs(d)))
     declared = allocate(selfish_cost(d, gamma), j_soc)  # also validates gamma

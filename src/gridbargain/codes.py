@@ -34,14 +34,16 @@ the grid absorbing the leftover imbalance; its cost minus the dual
 value of the tail-averaged network price is a certified optimality gap,
 and the run stops once that certificate meets the cost tolerance.
 SOC-dependent unit costs are re-looked-up on the averaged trajectories
-every RELINEARIZE_EVERY rounds, which restarts the certificate. When
-the gap is close or the rounds run out, a round-robin rebalance lets
-each user in turn re-solve against the true tariff together with the
-grid. Each of those best responses, one battery plus the grid, is the exact
-DP of ``scheduling`` too. A final per-user cleanup pass re-times each
-storage schedule at fixed net injection, which removes any simultaneous
-charge/discharge the averaging introduced. It is the same DP with the
-grid rated 0 kW, so a run calls no LP solver at all.
+every RELINEARIZE_EVERY rounds, which restarts the certificate. At
+every check whose gap is still open, a round-robin rebalance starts
+from that check's candidate and lets each user in turn re-solve against
+the true tariff together with the grid; its schedule is kept when it
+beats the best one. Each of those best responses, one battery plus the
+grid, is the exact DP of ``scheduling`` too. A final per-user cleanup
+pass re-times each storage schedule at fixed net injection, which
+removes any simultaneous charge/discharge the averaging introduced. It
+is the same DP with the grid rated 0 kW, so a run calls no LP solver at
+all.
 
 The routine is deterministic: a given (model, rg, config) gives the
 same result bit for bit.
@@ -275,7 +277,6 @@ def run_codes(model, rg=None, config=None):
     lam_net_acc, lam_net_cnt = lam.mean(axis=0), 1  # tail average of the network price
     best_q, best_cost = -np.inf, np.inf
     best = None  # (avg schedules, patch) snapshot at best_cost
-    rebalanced_from = None
     trace = []
     next_restart = 64
     converged = False
@@ -374,7 +375,6 @@ def run_codes(model, rg=None, config=None):
                         changed = True
                 if changed:  # objective moved; old bounds no longer comparable
                     best_q, best_cost, best = -np.inf, np.inf, None
-                    rebalanced_from = None
 
             avg_d, avg_c, gb, gs, resid, cost = candidate()
             lam_tail = np.clip(lam_net_acc / lam_net_cnt, ps, pb)
@@ -391,20 +391,15 @@ def run_codes(model, rg=None, config=None):
                 best_cost = cost
                 best = (avg_d, avg_c, gb, gs, resid)
             gap = best_cost - best_q
-            close = gap <= max(20.0 * tol_for(best_cost), 2.0)
-            if (best is not None and gap > tol_for(best_cost)
-                    and (close or k == config.max_rounds)
-                    and best is not rebalanced_from):
-                rebalanced_from = best
+            if best is not None and gap > tol_for(best_cost):
                 try:
-                    better = rebalance(best[0], best[1])
+                    better = rebalance(avg_d, avg_c)
                 except SolverStall:
                     better = None
                 if (better is not None and better[5] < best_cost
                         and better[4] <= RESIDUAL_TOL):
                     best = better[:5]
                     best_cost = better[5]
-                    rebalanced_from = best
                     gap = best_cost - best_q
             trace.append((k, gap, best[4] if best else resid))
             if best is not None and gap <= tol_for(best_cost):

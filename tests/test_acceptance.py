@@ -114,10 +114,12 @@ def test_criterion_4_distributed_matches_oracle(reference_model, favorable_rg):
         m = random_model(rng, r_max=6, T=24)
         cases.append((m, random_rg_profiles(m, rng)))
     worst_gap, worst_time, fails = 0.0, 0.0, 0
+    rounds = []
     for m, rg in cases:
         t0 = time.perf_counter()
         run = run_codes(m, rg)
         elapsed = time.perf_counter() - t0
+        rounds.append(run.iterations)
         oracle = solve_social(m, rg)
         tol = max(0.1, 1e-3 * abs(oracle.social_cost))
         diff = abs(run.outcome.social_cost - oracle.social_cost)
@@ -127,7 +129,8 @@ def test_criterion_4_distributed_matches_oracle(reference_model, favorable_rg):
             fails += 1
     ok = fails == 0
     _record(4, "distributed solver vs pooled oracle, 21 instances", ok,
-            f"worst gap {worst_gap:.3f}x tolerance, slowest {worst_time:.1f} s")
+            f"worst gap {worst_gap:.3f}x tolerance, slowest {worst_time:.1f} s, "
+            f"rounds sum {sum(rounds)} max {max(rounds)}")
 
 
 # 5 ------------------------------------------------------------------------

@@ -555,6 +555,27 @@ def test_resilience_report_refuses_bad_scale(monkeypatch, d, j_soc, mc_samples):
         resilience_report(d, j_soc, mc_samples=mc_samples)
 
 
+@pytest.mark.parametrize("gamma", [[1e300, 0.0], [np.nan, 0.0], [np.inf, 0.0],
+                                   [0.0, -np.inf]])
+@pytest.mark.parametrize("mc_samples", [0, 100])
+def test_resilience_report_refuses_bad_gamma(monkeypatch, gamma, mc_samples):
+    """A gamma that is not finite, or so large that gamma_i |D_i| overflows,
+    is bad input before any product is formed, not a numpy warning."""
+    def no_tally(*args):
+        raise AssertionError("the tally started")
+    monkeypatch.setattr("gridbargain.bargaining._region_counts", no_tally)
+    with pytest.raises(InvariantViolation, match="gamma"):
+        resilience_report([1e10, 1.0], 0.0, gamma=gamma, mc_samples=mc_samples)
+
+
+def test_resilience_report_takes_a_large_finite_gamma():
+    """The bound is r ((1 + g) sum |D_i| + |J_soc|): a gamma that keeps it
+    finite runs through without a warning."""
+    rep = resilience_report([1e10, 1.0], 0.0, gamma=[1e290, 0.0])
+    assert rep["r_tot"] == pytest.approx(1e300)
+    assert not rep["success"]
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
 def test_region_probabilities_takes_any_unsigned_64_bit_seed(seed):
     want = region_probabilities(FAV.d, FAV.eps0, {0}, 1000, seed=seed)

@@ -41,6 +41,24 @@ def test_reference_instance_matches_oracle(reference_run, reference_model, favor
     assert run.gap <= _tol(run.outcome.social_cost)
 
 
+def test_reference_instance_stops_at_the_first_check(reference_run):
+    """One rebalance from the first check's candidate closes the gap."""
+    model, rg, run = reference_run
+    assert run.converged and run.iterations == CodesConfig().check_every == 25
+    oracle = solve_social(model, rg)
+    assert abs(run.outcome.social_cost - oracle.social_cost) <= 1e-6
+
+
+def test_rebalance_starts_from_the_candidate():
+    """Criterion-4 draw #1 closes at round 225 when every open check
+    rebalances its own candidate; starting from the best schedule so
+    far instead would take 475 rounds."""
+    rng = np.random.default_rng(2026)
+    m = random_model(rng, r_max=6, T=24)
+    run = run_codes(m, random_rg_profiles(m, rng))
+    assert run.converged and run.iterations <= 225
+
+
 def _assert_feasible(model, profiles, run):
     net = model.demands.sum(axis=0).astype(float).copy()
     for uid, prof in profiles.items():
