@@ -11,8 +11,7 @@ cost misreporting the scheme survives.
 from .bargaining import (AllocationResult, Interval, RegionProbability, allocate,
                          dishonest_benefit, gamma_solo_bound, manipulation_interval,
                          region_probabilities, resilience_report, selfish_cost)
-from .codes import (CodesConfig, CodesRun, RoundMessage, convergence_trace,
-                    dump_message_log, run_codes)
+from .codes import CodesRun, RoundMessage, convergence_trace, dump_message_log, run_codes
 from .consensus import (ConsensusRun, allocate_from_consensus, metropolis_weights,
                         run_average_consensus)
 from .errors import (DisconnectedGraph, FileError, GridBargainError, Infeasible,

@@ -46,6 +46,7 @@ __all__ = [
     "region_probabilities",
     "mc_workers",
     "check_seed",
+    "check_scale",
     "resilience_report",
     "PREDICATES",
     "SUCCESS_TOL",
@@ -349,6 +350,24 @@ def check_seed(seed, what="seed"):
     return int(seed)
 
 
+def check_scale(d, j_soc, gammas=()):
+    """Refuse costs so large that the bargain's sums overflow a float.
+
+    Each sum the bargain and the Monte Carlo form (sum D, eps0 and the
+    budget, declared costs, understatement totals, r y_j) is at most
+    r ((1 + g) sum |D_i| + |J_soc|), g the largest |gamma| in play; the
+    Monte Carlo's draws stay below 1. The bound is summed in Python
+    floats, which overflow to inf without a warning; a cost that is not
+    finite fails it too. ``gammas`` must be finite.
+    """
+    g = max(map(abs, gammas), default=0.0)
+    bound = len(d) * ((1.0 + g) * sum(abs(x) for x in _vec(d).tolist()) + abs(float(j_soc)))
+    if not math.isfinite(bound):
+        raise InvariantViolation([
+            "costs too large or not finite: r ((1 + g) sum |D_i| + |J_soc|), g the largest "
+            f"|gamma| in play ({g:g}), is not a finite float"])
+
+
 def region_probabilities(d, eps0, honest, n_samples, seed=0, *, stats=None):
     """All three region probabilities from one sampling pass.
 
@@ -389,9 +408,8 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     checked whether or not the Monte Carlo runs. A ``stats`` dict
     receives ``mc_workers`` as from ``region_probabilities``, 0 when the
     Monte Carlo does not run. The costs, j_soc and gamma must be finite
-    and r ((1 + g) sum |D_i| + |j_soc|) a finite float, g the largest
-    |gamma_i|, as the CLI asks of every bargain, before any sum or
-    product is formed from them.
+    and pass ``check_scale`` with gamma, as the CLI asks of every bargain,
+    before any sum or product is formed from them.
     """
     d = _vec(d)
     r = d.shape[0]
@@ -401,12 +419,7 @@ def resilience_report(d, j_soc, gamma=None, *, honest=None, mc_samples=0, seed=0
     if not np.all(np.isfinite(gamma)):
         raise InvariantViolation(f"gamma must be finite, got {gamma}")
     honest = _honest_indices(honest or (), r)
-    g = max(map(abs, gamma.tolist()), default=0.0)
-    if not math.isfinite(r * ((1.0 + g) * sum(abs(x) for x in d.tolist())
-                              + abs(float(j_soc)))):
-        raise InvariantViolation([
-            "costs too large or not finite: r ((1 + g) sum |D_i| + |J_soc|), g the largest "
-            "|gamma_i|, is not a finite float"])
+    check_scale(d, j_soc, gamma.tolist())
     eps0 = (float(d.sum()) - float(j_soc)) / r
     r_tot = float(np.sum(gamma * np.abs(d)))
     declared = allocate(selfish_cost(d, gamma), j_soc)  # also validates gamma

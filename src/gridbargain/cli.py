@@ -35,6 +35,7 @@ from .errors import (
     NoConvergence,
     SolverStall,
 )
+from .model import Pv
 
 log = logging.getLogger("gridbargain")
 
@@ -69,9 +70,22 @@ def _parse_honest(text, r):
     return idx
 
 
-def _check_users(config, r):
-    """The experiment's per-user fields against a model of ``r`` users."""
+def _check_users(config, model):
+    """The experiment's per-user fields and scenario pools against the model.
+
+    A pool must belong to a user with a generator of the pool's kind.
+    """
+    r = model.n_users
+    rgs = {u.id: u.rg for u in model.users}
     problems = []
+    for uid, (_, kind) in sorted(config.scenario_files.items()):
+        if uid not in rgs:
+            problems.append(f"scenario {uid}: the model has no user {uid}")
+        elif rgs[uid] is None:
+            problems.append(f"scenario {uid}: user {uid} has no generator")
+        elif kind != ("pv" if isinstance(rgs[uid], Pv) else "wt"):
+            problems.append(f"scenario {uid}: kind {kind!r} does not match user {uid}'s "
+                            f"generator, a {type(rgs[uid]).__name__}")
     if config.gamma is not None and config.gamma.shape[0] != r:
         problems.append(f"gamma has {config.gamma.shape[0]} entries but the model has "
                         f"{r} users")
@@ -99,7 +113,7 @@ def _load_bundle(args):
             "seed": int(args.seed), "mc_seed": int(args.seed),
         })
     model = io.load_model(config.model_path)
-    _check_users(config, model.n_users)
+    _check_users(config, model)
     pools = io.build_pools(config)
     for uid, pool in pools.items():
         if pool.profiles.shape[1] != model.horizon.steps:
@@ -121,7 +135,7 @@ def _schedule(model, rg, config, solver):
         outcome, run = scheduling.solve_social(model, rg), None
         extra = {"outer_iterations": outcome.outer_iterations}
     else:
-        run = codes.run_codes(model, rg, config=config.codes)
+        run = codes.run_codes(model, rg)
         outcome = run.outcome
         extra = {"iterations": run.iterations, "converged": run.converged,
                  "certified_gap": run.gap}
@@ -224,22 +238,6 @@ def _bargain_inputs(args):
     }
 
 
-def _check_scale(d, j_soc, gammas=()):
-    """Refuse costs so large that the bargain's sums overflow a float.
-
-    Each sum the bargain and the Monte Carlo form (sum D, eps0 and the
-    budget, declared costs, understatement totals, r y_j) is at most
-    r ((1 + g) sum |D_i| + |J_soc|), g the largest |gamma| in play; the
-    Monte Carlo's draws stay below 1. The bound is summed in Python
-    floats, which overflow to inf without a warning.
-    """
-    g = max(map(abs, gammas), default=0.0)
-    bound = len(d) * ((1.0 + g) * sum(abs(x) for x in d.tolist()) + abs(j_soc))
-    if not np.isfinite(bound):
-        raise InvariantViolation([
-            f"costs too large: r ((1 + {g:g}) sum |D_i| + |J_soc|) overflows a float"])
-
-
 def _gamma_sweep_csv(out, d, j_soc, sweep):
     """Lattice of gamma vectors -> success flag and discount, as CSV."""
     users = sweep["users"]
@@ -271,7 +269,7 @@ def cmd_bargain(args):
             [f"gamma has {gamma.shape[0]} entries but there are {r} users"])
     sweep = config.gamma_sweep if config is not None else None
     in_play = (gamma.tolist() if gamma is not None else []) + ([sweep["max"]] if sweep else [])
-    _check_scale(d, j_soc, in_play)
+    bargaining.check_scale(d, j_soc, in_play)
 
     honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
@@ -317,7 +315,7 @@ def cmd_bargain(args):
 def cmd_region(args):
     config, d, j_soc, model, extra = _bargain_inputs(args)
     r = d.shape[0]
-    _check_scale(d, j_soc)
+    bargaining.check_scale(d, j_soc)
     honest = _parse_honest(args.honest, r) if args.honest is not None else (
         config.mc_honest if config else ())
     samples = args.samples if args.samples is not None else (
@@ -406,8 +404,7 @@ def cmd_report(args):
             [-outcome.trading_cost],
         ])
         t0 = time.perf_counter()
-        cons = consensus.run_average_consensus(
-            x0, W, **config.consensus_overrides)
+        cons = consensus.run_average_consensus(x0, W)
         timings["consensus_s"] = time.perf_counter() - t0
         j_cons = consensus.allocate_from_consensus(
             s, cons.final[:model.n_users], model.n_users)

@@ -45,14 +45,13 @@ removes any simultaneous charge/discharge the averaging introduced. It
 is the same DP with the grid rated 0 kW, so a run calls no LP solver at
 all.
 
-The routine is deterministic: a given (model, rg, config) gives the
-same result bit for bit.
+The routine is deterministic: a given (model, rg) gives the same
+result bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,12 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401
 
 from .consensus import metropolis_weights
-from .errors import InvariantViolation, SolverStall
+from .errors import SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
 from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
                          _rg_profiles, _storage_dp, trading_cost)
 
 __all__ = [
-    "CodesConfig",
     "RoundMessage",
     "CodesRun",
     "run_codes",
@@ -84,41 +82,11 @@ LAZY_TOL = 0.02  # price movement (cents/kWh) that triggers a fresh user solve
 RELINEARIZE_EVERY = 100  # rounds between re-lookups of SOC-dependent unit costs
 RESIDUAL_TOL = 1e-6  # kW of imbalance the grid patch may leave
 DUAL_TOL = 1e-3  # price spread across agents that the final polish must reach
-
-
-@dataclass(frozen=True)
-class CodesConfig:
-    """Budget and stopping rule of the distributed run.
-
-    The run stops once the certified gap is within max(cost_tol_abs
-    cents, cost_tol_rel * |cost|), checked every check_every rounds, or
-    after max_rounds; both tolerances must be finite and > 0.
-    record_messages keeps every message put on the bus. The algorithm's
-    own settings are the module constants above.
-    """
-
-    max_rounds: int = 6000
-    check_every: int = 25
-    cost_tol_abs: float = 0.1
-    cost_tol_rel: float = 1e-3
-    record_messages: bool = False
-
-    def __post_init__(self):
-        bad = []
-        for name in ("cost_tol_abs", "cost_tol_rel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0 < value < np.inf):
-                bad.append(f"{name} must be a finite number > 0, got {value!r}")
-        for name in ("max_rounds", "check_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                               and value >= 1):
-                bad.append(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.record_messages, bool):
-            bad.append(f"record_messages must be true or false, got {self.record_messages!r}")
-        if bad:
-            raise InvariantViolation(bad)
+MAX_ROUNDS = 6000  # round budget; running out is reported as converged=False
+CHECK_EVERY = 25  # rounds between certificate checks
+# The run stops once the certified gap is within
+# max(COST_TOL_ABS cents, COST_TOL_REL * |cost|).
+COST_TOL_ABS, COST_TOL_REL = 0.1, 1e-3
 
 
 @dataclass(frozen=True)
@@ -222,15 +190,15 @@ def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
     return q
 
 
-def run_codes(model, rg=None, config=None):
+def run_codes(model, rg=None, *, record_messages=False):
     """Distributed social schedule; see the module docstring.
 
     Returns a CodesRun whose outcome mirrors ``solve_social``. Running
     out of rounds is reported softly (converged=False, best candidate
-    kept) so experiments can log it rather than die.
+    kept) so experiments can log it rather than die. record_messages
+    keeps every message put on the bus in ``CodesRun.messages``.
     """
     model = validate_model(model)
-    config = config or CodesConfig()
     T, dt = int(model.horizon.steps), float(model.horizon.dt)
     r = model.n_users
     n = r + 1
@@ -262,8 +230,9 @@ def run_codes(model, rg=None, config=None):
 
     # Round 0 local step seeds the imbalances and trackers. Each active
     # user keeps its last schedule, the price copy it was solved at and
-    # the tail-average sums (discharge, charge); all users restart their
-    # sums together, so they share avg_count.
+    # the tail-average sums (discharge, charge); all users and the
+    # network price below restart their sums together, so they share
+    # avg_count.
     sched, solved_at, acc = {}, {}, {}
     for uid, i in rows.items():
         sched[uid] = locals_[uid].solve(units[uid], lam[i])
@@ -273,8 +242,8 @@ def run_codes(model, rg=None, config=None):
     avg_count = 1
     M = R.copy()
 
-    messages = [] if config.record_messages else None
-    lam_net_acc, lam_net_cnt = lam.mean(axis=0), 1  # tail average of the network price
+    messages = [] if record_messages else None
+    lam_net_acc = lam.mean(axis=0)  # tail sum of the network price
     best_q, best_cost = -np.inf, np.inf
     best = None  # (avg schedules, patch) snapshot at best_cost
     trace = []
@@ -288,7 +257,7 @@ def run_codes(model, rg=None, config=None):
                                          dual_prices=lam[i].copy(), mismatch=M[i].copy()))
 
     def tol_for(cost):
-        return max(config.cost_tol_abs, config.cost_tol_rel * abs(cost))
+        return max(COST_TOL_ABS, COST_TOL_REL * abs(cost))
 
     def patch(g, d, c):
         """The grid's patch of imbalance g, its residual, and the cost of (d, c) with it."""
@@ -333,7 +302,7 @@ def run_codes(model, rg=None, config=None):
             out = (dict(d), dict(c), gb, gs, resid, cost)
         return out
 
-    for k in range(1, config.max_rounds + 1):
+    for k in range(1, MAX_ROUNDS + 1):
         rounds_done = k
         if messages is not None:
             record(k)
@@ -346,7 +315,7 @@ def run_codes(model, rg=None, config=None):
             next_restart *= 2
             acc = {uid: np.zeros((2, T)) for uid in rows}
             avg_count = 0
-            lam_net_acc, lam_net_cnt = np.zeros(T), 0
+            lam_net_acc = np.zeros(T)
 
         buy = np.clip(buy + (lam[r] - pb) / GRID_RAMP, 0.0, p_max)
         sell = np.clip(sell + (ps - lam[r]) / GRID_RAMP, 0.0, p_max)
@@ -360,9 +329,8 @@ def run_codes(model, rg=None, config=None):
         avg_count += 1
         M = W @ M + R - R_old
         lam_net_acc += lam.mean(axis=0)
-        lam_net_cnt += 1
 
-        if k % config.check_every == 0 or k == config.max_rounds:
+        if k % CHECK_EVERY == 0 or k == MAX_ROUNDS:
             if not all_constant and k % RELINEARIZE_EVERY == 0:
                 changed = False
                 for u in active:
@@ -377,7 +345,7 @@ def run_codes(model, rg=None, config=None):
                     best_q, best_cost, best = -np.inf, np.inf, None
 
             avg_d, avg_c, gb, gs, resid, cost = candidate()
-            lam_tail = np.clip(lam_net_acc / lam_net_cnt, ps, pb)
+            lam_tail = np.clip(lam_net_acc / avg_count, ps, pb)
             # Any common price gives a valid lower bound. The clip to
             # the price band removes the grid's huge penalty for tiny
             # overshoots; the snap pins hours where the candidate says

@@ -55,22 +55,22 @@ class ConsensusRun:
     iterations: int
 
 
-def run_average_consensus(x0, W, *, tol=SPREAD_TOL, max_iter=MAX_ITER):
-    """Iterate x <- W x until the max-min spread falls to ``tol``.
+def run_average_consensus(x0, W):
+    """Iterate x <- W x until the max-min spread falls to SPREAD_TOL.
 
     Returns the run with the final (agreed) states; iteration count is
     the number of multiplications performed. Raises NoConvergence only
-    if the iteration budget runs out, which a valid doubly stochastic W
+    if the MAX_ITER budget runs out, which a valid doubly stochastic W
     on a connected graph does not do.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 1 or x.shape[0] != W.shape[0]:
         raise ValueError(f"x0 must be a vector of length {W.shape[0]}")
-    for k in range(max_iter + 1):
-        if float(x.max() - x.min()) <= tol:
+    for k in range(MAX_ITER + 1):
+        if float(x.max() - x.min()) <= SPREAD_TOL:
             return ConsensusRun(initial=np.array(x0, dtype=float), final=x, iterations=k)
         x = W @ x
-    raise NoConvergence(f"consensus spread above {tol:g} after {max_iter} iterations")
+    raise NoConvergence(f"consensus spread above {SPREAD_TOL:g} after {MAX_ITER} iterations")
 
 
 def allocate_from_consensus(s_i, x_hat_i, r):

@@ -23,7 +23,6 @@ import numpy as np
 import yaml
 
 from .bargaining import check_seed
-from .codes import CodesConfig
 from .errors import FileError, InvariantViolation, KindMismatch
 from .model import (
     ConstantBdc,
@@ -131,11 +130,22 @@ def write_json(path, obj):
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _load_yaml(path, sections):
-    """A YAML file's top-level mapping; ``sections`` maps keys to list or dict.
+def _unknown_keys(node, allowed, what):
+    """A complaint naming the keys of ``node`` outside ``allowed``, or None."""
+    unknown = [key for key in node if key not in allowed]
+    if unknown:
+        return (f"{what}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"allowed keys are {', '.join(allowed)}")
+    return None
 
-    A section given with another type (``users: 7``) is an
-    InvariantViolation, not a TypeError further down.
+
+def _load_yaml(path, sections):
+    """A YAML file's top-level mapping; ``sections`` maps every allowed
+    key to the type its value must have (``object`` for any).
+
+    An unknown key, or a section given with another type (``users: 7``),
+    is an InvariantViolation, not a setting silently ignored or a
+    TypeError further down.
     """
     with open(_must_exist(path)) as fh:
         try:
@@ -148,6 +158,9 @@ def _load_yaml(path, sections):
     bad = [f"{path}: section {key!r} must be a {noun[kind]}, got {raw[key]!r}"
            for key, kind in sections.items()
            if raw.get(key) is not None and not isinstance(raw[key], kind)]
+    unknown = _unknown_keys(raw, sections, path)
+    if unknown:
+        bad.append(unknown)
     if bad:
         raise InvariantViolation(bad)
     return raw
@@ -175,10 +188,14 @@ def _number(kind, value, what):
         raise InvariantViolation([f"{what} must be a number, got {value!r}"])
 
 
-def _mapping(node, what):
-    """``node`` if it is a mapping, else InvariantViolation."""
+def _mapping(node, what, allowed):
+    """``node`` if it is a mapping with no key outside ``allowed``, else
+    InvariantViolation."""
     if not isinstance(node, dict):
         raise InvariantViolation([f"{what} must be a mapping, got {node!r}"])
+    unknown = _unknown_keys(node, allowed, what)
+    if unknown:
+        raise InvariantViolation([unknown])
     return node
 
 
@@ -203,12 +220,13 @@ def _bdc_from(node, uid):
 
 
 def _user_from(node):
-    if "id" not in _mapping(node, "a user"):
+    if "id" not in _mapping(node, "a user", ("id", "desd", "rg")):
         raise InvariantViolation(["every user needs an id"])
     uid = str(node["id"])
     desd = None
     if node.get("desd") is not None:
-        d = _mapping(node["desd"], f"user {uid}: desd")
+        d = _mapping(node["desd"], f"user {uid}: desd",
+                     ("e0", "e_min", "e_max", "p_b_max", "kappa", "bdc"))
         try:
             desd = DesdParams(
                 **{f: _number(float, d[f], f"user {uid}: desd.{f}")
@@ -220,7 +238,7 @@ def _user_from(node):
             raise InvariantViolation([f"user {uid}: desd needs field {missing}"])
     rg = None
     if node.get("rg") is not None:
-        g = _mapping(node["rg"], f"user {uid}: rg")
+        g = _mapping(node["rg"], f"user {uid}: rg", ("kind", "size_kw"))
         kind = g.get("kind")
         if kind in ("pv", "wt"):
             rg = (Pv if kind == "pv" else Wt)(
@@ -254,7 +272,8 @@ def load_demands(path, user_ids, steps):
     return np.vstack([arr[:, cols.index(uid)] for uid in user_ids])
 
 
-_MODEL_SECTIONS = {"horizon": dict, "users": list, "grid": dict, "graph": list}
+_MODEL_SECTIONS = {"horizon": dict, "prices": object, "demands": object, "users": list,
+                   "grid": dict, "graph": list}
 
 
 def load_model(path):
@@ -264,8 +283,9 @@ def load_model(path):
     for key in ("horizon", "users", "prices", "demands"):
         if raw.get(key) is None:
             raise InvariantViolation([f"{path}: missing section {key!r}"])
-    horizon = Horizon(steps=_number(int, raw["horizon"].get("steps"), "horizon.steps"),
-                      dt=_number(float, raw["horizon"].get("dt", 1.0), "horizon.dt"))
+    h = _mapping(raw["horizon"], "horizon", ("steps", "dt"))
+    horizon = Horizon(steps=_number(int, h.get("steps"), "horizon.steps"),
+                      dt=_number(float, h.get("dt", 1.0), "horizon.dt"))
     users = tuple(_user_from(n) for n in raw["users"])
     if not users:
         raise InvariantViolation([f"{path}: users: need at least one user"])
@@ -274,7 +294,8 @@ def load_model(path):
                            [u.id for u in users], horizon.steps)
     grid = None
     if raw.get("grid") is not None:
-        grid = GridLimits(p_g_max=_number(float, raw["grid"].get("p_g_max"), "grid.p_g_max"))
+        g = _mapping(raw["grid"], "grid", ("p_g_max",))
+        grid = GridLimits(p_g_max=_number(float, g.get("p_g_max"), "grid.p_g_max"))
     graph = None
     if raw.get("graph") is not None:
         graph = tuple(_integers(edge, "graph edge") for edge in raw["graph"])
@@ -286,9 +307,10 @@ def load_model(path):
     ))
 
 
-_EXPERIMENT_SECTIONS = {"scenarios": dict, "forecast": dict, "gamma": list,
-                        "gamma_sweep": dict, "monte_carlo": dict, "codes": dict,
-                        "consensus": dict}
+_EXPERIMENT_SECTIONS = {"model": object, "scenarios": dict, "forecast": dict,
+                        "weights": object, "seed": object, "gamma": list,
+                        "gamma_sweep": dict, "solver": object, "monte_carlo": dict,
+                        "out_dir": object}
 
 
 @dataclass(frozen=True)
@@ -297,9 +319,6 @@ class ExperimentConfig:
 
     ``scenario_files`` maps user id to (csv path, kind). ``mc_honest``
     holds 1-based user positions, matching how reports number users.
-    ``codes`` is the distributed solver's CodesConfig and
-    ``consensus_overrides`` the settlement's ``tol`` and ``max_iter``,
-    both checked here so that a bad field fails before any solve.
     """
 
     path: str
@@ -311,8 +330,6 @@ class ExperimentConfig:
     gamma: np.ndarray | None
     gamma_sweep: dict | None
     solver: str
-    codes: CodesConfig
-    consensus_overrides: dict
     mc_samples: int
     mc_honest: tuple
     mc_seed: int
@@ -332,7 +349,7 @@ def load_experiment(path):
 
     scenario_files = {}
     for uid, node in (raw.get("scenarios") or {}).items():
-        if "file" not in _mapping(node, f"scenario {uid}"):
+        if "file" not in _mapping(node, f"scenario {uid}", ("file", "kind")):
             raise InvariantViolation([f"scenario {uid} needs field 'file'"])
         f = _resolve(base, node["file"], f"scenario {uid}: file")
         if not os.path.isfile(f):
@@ -344,7 +361,7 @@ def load_experiment(path):
 
     forecast = None
     if raw.get("forecast") is not None:
-        f = raw["forecast"]
+        f = _mapping(raw["forecast"], "forecast", ("solar", "wind"))
         try:
             forecast = WeatherForecast(solar=f.get("solar"), wind=f.get("wind"))
         except (TypeError, ValueError) as exc:
@@ -364,12 +381,15 @@ def load_experiment(path):
 
     sweep = raw.get("gamma_sweep")
     if sweep is not None:
+        _mapping(sweep, "gamma_sweep", ("users", "num", "max"))
         for key in ("users", "num"):
             if key not in sweep:
                 raise InvariantViolation([f"gamma_sweep needs field {key!r}"])
         sweep = {"users": _integers(sweep["users"], "gamma_sweep.users"),
                  "num": _number(int, sweep["num"], "gamma_sweep.num"),
                  "max": _number(float, sweep.get("max", 1.0), "gamma_sweep.max")}
+        if len(set(sweep["users"])) < len(sweep["users"]):
+            problems.append(f"gamma_sweep.users lists a position twice: {list(sweep['users'])}")
         if sweep["num"] < 1:
             problems.append(f"gamma_sweep.num must be >= 1, got {sweep['num']}")
         if not 0.0 <= sweep["max"] < np.inf:
@@ -379,31 +399,13 @@ def load_experiment(path):
     if solver not in SOLVERS:
         problems.append(f"solver must be one of {SOLVERS}, got {solver!r}")
 
-    mc = raw.get("monte_carlo") or {}
+    mc = _mapping(raw.get("monte_carlo") or {}, "monte_carlo", ("samples", "honest", "seed"))
     mc_samples = _number(int, mc.get("samples", 0), "monte_carlo.samples")
     if mc_samples < 0:
         problems.append(f"monte_carlo.samples must be >= 0, got {mc_samples}")
     mc_honest = _integers(mc.get("honest", []), "monte_carlo.honest")
     if any(i < 1 for i in mc_honest):
         problems.append("monte_carlo.honest uses 1-based user positions")
-
-    try:
-        codes = CodesConfig(**(raw.get("codes") or {}))
-    except TypeError as exc:
-        raise InvariantViolation([f"codes: {exc}"])
-
-    consensus = dict(raw.get("consensus") or {})
-    unknown = [key for key in consensus if key not in ("tol", "max_iter")]
-    if unknown:
-        problems.append(f"consensus accepts only tol and max_iter, got {unknown}")
-    if "tol" in consensus:
-        consensus["tol"] = _number(float, consensus["tol"], "consensus.tol")
-        if not (np.isfinite(consensus["tol"]) and consensus["tol"] > 0.0):
-            problems.append(f"consensus.tol must be finite and > 0, got {consensus['tol']}")
-    if "max_iter" in consensus:
-        consensus["max_iter"] = _number(int, consensus["max_iter"], "consensus.max_iter")
-        if consensus["max_iter"] < 1:
-            problems.append(f"consensus.max_iter must be >= 1, got {consensus['max_iter']}")
 
     if problems:
         raise InvariantViolation(problems)
@@ -414,8 +416,7 @@ def load_experiment(path):
     return ExperimentConfig(
         path=os.path.abspath(path), model_path=model_path,
         scenario_files=scenario_files, forecast=forecast, weights=weights,
-        seed=seed, gamma=gamma, gamma_sweep=sweep,
-        solver=solver, codes=codes, consensus_overrides=consensus,
+        seed=seed, gamma=gamma, gamma_sweep=sweep, solver=solver,
         mc_samples=mc_samples, mc_honest=mc_honest,
         mc_seed=mc_seed,
         out_dir=_resolve(base, raw["out_dir"], "out_dir") if raw.get("out_dir") else None,

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import conftest
-from gridbargain import (CodesConfig, allocate, allocate_from_consensus,
-                         gamma_solo_bound, metropolis_weights, run_codes,
-                         run_average_consensus, solve_social)
+from gridbargain import (allocate, allocate_from_consensus, gamma_solo_bound,
+                         metropolis_weights, run_average_consensus, run_codes,
+                         solve_social)
 from gridbargain.bargaining import region_probabilities
 from gridbargain.codes import dump_message_log
 from gridbargain.fixtures import (REFERENCE_ADVERSE, REFERENCE_FAVORABLE,
@@ -275,8 +275,7 @@ def test_criterion_8_forecast_algebra():
 # 9 ------------------------------------------------------------------------
 
 def test_criterion_9_message_privacy(reference_model, favorable_rg, tmp_path):
-    run = run_codes(reference_model, favorable_rg,
-                    config=CodesConfig(record_messages=True))
+    run = run_codes(reference_model, favorable_rg, record_messages=True)
     allowed = {"sender", "iteration", "dual_prices", "mismatch"}
     forbidden = ("demand", "rg", "profile", "battery", "e0", "e_min", "e_max",
                  "p_b_max", "kappa", "bdc", "discharge", "charge", "soc")

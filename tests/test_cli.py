@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridbargain import allocate, cli, data_path, selfish_cost
+from gridbargain import allocate, cli, codes, data_path, selfish_cost
 from gridbargain.bargaining import PREDICATES
 
 FAV_D = "-61.33,481.18,101.48,-23.34"
@@ -44,9 +44,10 @@ def _experiment(tmp_path, name="e.yaml", **overrides):
     return str(path)
 
 
-def _bridge_experiment(tmp_path, **codes_overrides):
+def _bridge_experiment(tmp_path, **sections):
     """Two-step storage-bridge instance (see test_codes): one period is
-    served entirely from storage, so tight tolerances cannot certify."""
+    served entirely from storage, so tight tolerances cannot certify.
+    ``sections`` are added to the experiment file."""
     (tmp_path / "p.csv").write_text("p_buy,p_sell\n10,2\n30,6\n")
     (tmp_path / "d.csv").write_text("u1,u2\n0,0\n0,5\n")
     (tmp_path / "m.yaml").write_text(yaml.safe_dump({
@@ -63,7 +64,7 @@ def _bridge_experiment(tmp_path, **codes_overrides):
     path.write_text(yaml.safe_dump({
         "model": "m.yaml",
         "solver": "distributed",
-        "codes": codes_overrides,
+        **sections,
     }))
     return str(path)
 
@@ -282,12 +283,19 @@ def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
      "gamma_sweep.users: positions [5] are outside users 1..4"),
     ({"gamma_sweep": {"users": [0], "num": 3}},
      "gamma_sweep.users: positions [0] are outside users 1..4"),
-], ids=["gamma_3", "gamma_5", "honest_7", "honest_5_no_mc", "sweep_5", "sweep_0"])
+    ({"scenarios": {"U1": {"file": data_path("pool_u1.csv"), "kind": "pv"}}},
+     "scenario U1: the model has no user U1"),
+    ({"scenarios": {"u2": {"file": data_path("pool_u1.csv"), "kind": "pv"}}},
+     "scenario u2: user u2 has no generator"),
+    ({"scenarios": {"u3": {"file": data_path("pool_u3.csv"), "kind": "pv"}}},
+     "scenario u3: kind 'pv' does not match user u3's generator, a Wt"),
+], ids=["gamma_3", "gamma_5", "honest_7", "honest_5_no_mc", "sweep_5", "sweep_0",
+        "pool_of_no_user", "pool_of_passive_user", "pool_of_other_kind"])
 def test_exit_2_per_user_fields_that_do_not_fit_the_model(tmp_path, caplog, command,
                                                           overrides, message):
     """gamma, monte_carlo.honest and gamma_sweep.users are checked against
-    the model's users, by their 1-based positions, before any solve or
-    write."""
+    the model's users, by their 1-based positions, and every scenario
+    pool against the generator of its user, before any solve or write."""
     cfg = _experiment(tmp_path, **overrides)
     out = tmp_path / "out"
     assert cli.main([command, cfg, "--out", str(out)]) == 2
@@ -382,6 +390,7 @@ def _model_with(**sections):
     lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2], "num": "abc"}),
     lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": ["x"], "num": 3}),
     lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": 1, "num": 3}),
+    lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2, 2], "num": 3}),
     _model_with(users=[5]),
     _model_with(horizon={"dt": 1.0}),
     _model_with(grid={}),
@@ -391,7 +400,8 @@ def _model_with(**sections):
 ], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word",
         "users_7", "horizon_24", "forecast_5", "scenarios_list", "monte_carlo_5",
         "forecast_solar_5", "forecast_no_wind", "scenario_no_file", "scenario_5", "honest_5",
-        "sweep_num_word", "sweep_users_word", "sweep_users_1", "user_5", "horizon_no_steps",
+        "sweep_num_word", "sweep_users_word", "sweep_users_1", "sweep_users_twice", "user_5",
+        "horizon_no_steps",
         "grid_empty", "graph_edge_0", "rg_list", "desd_list"])
 def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     out = tmp_path / "out"
@@ -408,17 +418,13 @@ def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
     lambda tmp_path: _experiment(tmp_path, gamma_sweep={"users": [2.5], "num": 3}),
     lambda tmp_path: _experiment(tmp_path, seed=True),
     lambda tmp_path: _experiment(tmp_path, monte_carlo={"samples": True, "honest": [1]}),
-    lambda tmp_path: _experiment(tmp_path, consensus={"max_iter": True}),
-    lambda tmp_path: _experiment(tmp_path, codes={"max_rounds": True}),
-    lambda tmp_path: _experiment(tmp_path, codes={"cost_tol_abs": True}),
     _bdc_true,
 ], ids=["seed", "samples", "horizon_steps", "sweep_num", "honest", "sweep_users",
-        "seed_true", "samples_true", "max_iter_true", "max_rounds_true", "cost_tol_true",
-        "bdc_true"])
+        "seed_true", "samples_true", "bdc_true"])
 def test_exit_2_fractional_integer_field(tmp_path, make_config):
     """An integer field rejects 2.9 instead of truncating it to 2, and
-    every numeric field, in the codes and consensus sections and a
-    battery's bdc too, rejects YAML's true instead of reading it as 1."""
+    every numeric field, a battery's bdc too, rejects YAML's true
+    instead of reading it as 1."""
     out = tmp_path / "out"
     assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
     assert not any(out.glob("*.json"))
@@ -440,9 +446,39 @@ def test_integral_floats_load_as_integers(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_exit_2_bad_codes_override(tmp_path):
-    cfg = _bridge_experiment(tmp_path, bogus_knob=1)
+def _kapa(tmp_path):
+    """The shipped experiment on the shipped model, u1's kappa misspelt."""
+    model = yaml.safe_load(pathlib.Path(data_path("model.yaml")).read_text())
+    for key in ("prices", "demands"):
+        model[key] = data_path(model[key])
+    model["users"][0]["desd"]["kapa"] = model["users"][0]["desd"].pop("kappa")
+    (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
+    return _experiment(tmp_path, model=str(tmp_path / "m.yaml"))
+
+
+@pytest.mark.parametrize("make_config, message", [
+    (lambda tmp_path: _experiment(tmp_path, montecarlo={"samples": 100}),
+     "unknown key(s) 'montecarlo'; allowed keys are model, scenarios, forecast, weights, "
+     "seed, gamma, gamma_sweep, solver, monte_carlo, out_dir"),
+    (lambda tmp_path: _experiment(tmp_path, monte_carlo={"sample": 100}),
+     "monte_carlo: unknown key(s) 'sample'; allowed keys are samples, honest, seed"),
+    (_kapa, "user u1: desd: unknown key(s) 'kapa'; allowed keys are e0, e_min, e_max, "
+     "p_b_max, kappa, bdc"),
+], ids=["montecarlo", "monte_carlo_sample", "kapa"])
+def test_exit_2_unknown_key_before_any_solve(tmp_path, caplog, make_config, message):
+    """A misspelt key is refused, not ignored: misspelt, these would
+    skip the Monte Carlo, run it with 0 samples and run u1's battery at
+    kappa = 1."""
+    out = tmp_path / "out"
+    assert cli.main(["report", make_config(tmp_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in caplog.text
+
+
+def test_exit_2_bad_codes_override(tmp_path, caplog):
+    cfg = _bridge_experiment(tmp_path, codes={"bogus_knob": 1})
     assert cli.main(["schedule", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key(s) 'codes'" in caplog.text
 
 
 @pytest.mark.parametrize("section", [
@@ -460,10 +496,9 @@ def test_exit_2_bad_codes_override(tmp_path):
         "consensus_tol_word", "consensus_tol_0", "consensus_max_iter_0", "cost_tol_abs_inf",
         "cost_tol_rel_inf"])
 def test_exit_2_bad_codes_or_consensus_section_before_any_solve(tmp_path, section):
-    cfg = _bridge_experiment(tmp_path)
-    doc = yaml.safe_load((tmp_path / "e.yaml").read_text())
-    doc.update(section)
-    (tmp_path / "e.yaml").write_text(yaml.safe_dump(doc))
+    """The solver's budget and tolerances are constants: an experiment
+    that still sets any of them is refused, not silently run without."""
+    cfg = _bridge_experiment(tmp_path, **section)
     out = tmp_path / "out"
     assert cli.main(["report", cfg, "--out", str(out)]) == 2
     assert not out.exists()  # the experiment was refused before any output or solve
@@ -534,9 +569,11 @@ def test_exit_2_nan_in_scenario_pool(tmp_path):
     assert not (out / "forecast.json").exists()
 
 
-def test_exit_3_unconverged_distributed_schedule(tmp_path):
-    cfg = _bridge_experiment(tmp_path, max_rounds=60, check_every=20,
-                             cost_tol_abs=1e-12, cost_tol_rel=1e-15)
+def test_exit_3_unconverged_distributed_schedule(tmp_path, monkeypatch):
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20), ("COST_TOL_ABS", 1e-12),
+                        ("COST_TOL_REL", 1e-15)):
+        monkeypatch.setattr(codes, name, value)
+    cfg = _bridge_experiment(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["schedule", cfg, "--out", str(out)]) == 3
     rep = _read(out / "schedule.json")  # diagnostics still land on disk

@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from gridbargain import codes, scheduling
-from gridbargain import (CodesConfig, ConstantBdc, DesdParams, InvariantViolation,
-                         LengthMismatch, PriceProfile, SolverStall, convergence_trace,
-                         dump_message_log, run_codes, solve_individual,
-                         solve_social, validate_model)
+from gridbargain import (ConstantBdc, DesdParams, InvariantViolation, LengthMismatch,
+                         PriceProfile, SolverStall, convergence_trace, dump_message_log,
+                         run_codes, solve_individual, solve_social, validate_model)
 from gridbargain.codes import GRID_AGENT, _UserLocal
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
 from gridbargain.model import soc_trajectory
 from _oracles import cleanup_lp, cumulative_storage_lp, two_segment_storage_dp
 
 
-def _tol(cost, config=None):
-    c = config or CodesConfig()
-    return max(c.cost_tol_abs, c.cost_tol_rel * abs(cost))
+def _tol(cost):
+    return max(codes.COST_TOL_ABS, codes.COST_TOL_REL * abs(cost))
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +42,7 @@ def test_reference_instance_matches_oracle(reference_run, reference_model, favor
 def test_reference_instance_stops_at_the_first_check(reference_run):
     """One rebalance from the first check's candidate closes the gap."""
     model, rg, run = reference_run
-    assert run.converged and run.iterations == CodesConfig().check_every == 25
+    assert run.converged and run.iterations == codes.CHECK_EVERY == 25
     oracle = solve_social(model, rg)
     assert abs(run.outcome.social_cost - oracle.social_cost) <= 1e-6
 
@@ -117,13 +115,12 @@ def test_zero_instance_converges_quickly():
     run = run_codes(m0)
     assert run.converged
     assert run.outcome.social_cost == pytest.approx(0.0, abs=1e-6)
-    assert run.iterations <= 2 * CodesConfig().check_every
+    assert run.iterations <= 2 * codes.CHECK_EVERY
 
 
 def test_deterministic_bit_for_bit(reference_model, favorable_rg):
-    cfg = CodesConfig(record_messages=True, max_rounds=300)
-    a = run_codes(reference_model, favorable_rg, config=cfg)
-    b = run_codes(reference_model, favorable_rg, config=cfg)
+    a = run_codes(reference_model, favorable_rg, record_messages=True)
+    b = run_codes(reference_model, favorable_rg, record_messages=True)
     assert a.iterations == b.iterations
     assert a.gap == b.gap
     np.testing.assert_array_equal(a.final_duals, b.final_duals)
@@ -172,7 +169,7 @@ def storage_bridge_model():
     ))
 
 
-def test_soft_nonconvergence_returns_best_iterate():
+def test_soft_nonconvergence_returns_best_iterate(monkeypatch):
     model = storage_bridge_model()
     oracle = solve_social(model)
     # sanity: the instance itself is solvable at the stock tolerance
@@ -180,9 +177,10 @@ def test_soft_nonconvergence_returns_best_iterate():
     # under a near-zero tolerance a 60-round budget cannot close the
     # certificate: the run must stop without raising, flag itself, and
     # still hand back its best iterate
-    cfg = CodesConfig(max_rounds=60, check_every=20, cost_tol_abs=1e-12,
-                      cost_tol_rel=1e-15)
-    run = run_codes(model, config=cfg)
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20), ("COST_TOL_ABS", 1e-12),
+                        ("COST_TOL_REL", 1e-15)):
+        monkeypatch.setattr(codes, name, value)
+    run = run_codes(model)
     assert not run.converged
     assert run.iterations == 60
     trace = convergence_trace(run)
@@ -194,8 +192,7 @@ def test_soft_nonconvergence_returns_best_iterate():
 
 
 def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
-    cfg = CodesConfig(record_messages=True, max_rounds=100)
-    run = run_codes(reference_model, favorable_rg, config=cfg)
+    run = run_codes(reference_model, favorable_rg, record_messages=True)
     allowed = {"sender", "iteration", "dual_prices", "mismatch"}
     for msg in run.messages:
         fields = {f for f in vars(msg)}
@@ -211,31 +208,15 @@ def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
             assert not any(k in forbidden for k in record)
 
 
-def test_config_validation():
-    with pytest.raises(InvariantViolation):
-        CodesConfig(cost_tol_abs=0.0)
-    with pytest.raises(InvariantViolation):
-        CodesConfig(max_rounds=0)
-    with pytest.raises(InvariantViolation):
-        CodesConfig(check_every=2.5)
-    with pytest.raises(InvariantViolation):
-        CodesConfig(cost_tol_rel="small")
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(InvariantViolation):
-            CodesConfig(cost_tol_abs=bad)
-        with pytest.raises(InvariantViolation):
-            CodesConfig(cost_tol_rel=bad)
-
-
-def test_relinearization_is_deterministic_and_feasible(soc_dependent):
+def test_relinearization_is_deterministic_and_feasible(soc_dependent, monkeypatch):
     """SOC-dependent unit costs are re-looked-up every 100 rounds; a
     300-round budget reaches the re-lookup three times, and this draw
     stops there without a certificate."""
     rng = np.random.default_rng(7)
     model = soc_dependent(random_model(rng, r_max=5, T=24))
     rg = random_rg_profiles(model, rng)
-    cfg = CodesConfig(max_rounds=300)
-    a, b = run_codes(model, rg, config=cfg), run_codes(model, rg, config=cfg)
+    monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
+    a, b = run_codes(model, rg), run_codes(model, rg)
     assert not a.converged and a.iterations == 300
     assert a.gap == b.gap and a.ledger == b.ledger
     np.testing.assert_array_equal(a.trace, b.trace)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridbargain import consensus
 from gridbargain import (DisconnectedGraph, NoConvergence, allocate,
                          allocate_from_consensus, metropolis_weights,
                          run_average_consensus)
@@ -93,10 +94,11 @@ def test_conservation_and_contraction(rng):
     np.testing.assert_allclose(run.final.sum(), x0.sum(), atol=1e-9)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(consensus, "MAX_ITER", 2)
     W = metropolis_weights(ring_graph(5), 5)
     with pytest.raises(NoConvergence):
-        run_average_consensus(np.arange(5.0), W, max_iter=2)
+        run_average_consensus(np.arange(5.0), W)
 
 
 def test_wrong_state_length_rejected():

@@ -1,12 +1,13 @@
 """File formats: YAML loaders, CSV round trips, report JSON."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from gridbargain import (CodesConfig, ExperimentConfig, FileError, InvariantViolation,
+from gridbargain import (ExperimentConfig, FileError, InvariantViolation,
                          KindMismatch, build_pools, data_path, load_experiment,
                          load_model, write_csv, write_json)
 from gridbargain.fixtures import FAVORABLE_FORECAST, four_user_model
@@ -153,18 +154,58 @@ def test_experiment_defaults(tmp_path):
     assert cfg.solver == "centralized" and cfg.seed == 0
     assert cfg.gamma is None and cfg.forecast is None
     assert cfg.scenario_files == {} and cfg.mc_samples == 0
-    assert cfg.codes == CodesConfig() and cfg.consensus_overrides == {}
     assert cfg.out_dir is None
 
 
 def test_experiment_codes_and_consensus_sections(tmp_path):
+    """The distributed solver's settings are constants, so these
+    sections are unknown keys like any other."""
     (tmp_path / "m.yaml").write_text("x: 1\n")
     p = tmp_path / "e.yaml"
     p.write_text("model: m.yaml\ncodes: {max_rounds: 50, record_messages: true}\n"
                  "consensus: {tol: 1.0e-6, max_iter: 10}\n")
-    cfg = load_experiment(str(p))
-    assert cfg.codes == CodesConfig(max_rounds=50, record_messages=True)
-    assert cfg.consensus_overrides == {"tol": 1e-6, "max_iter": 10}
+    with pytest.raises(InvariantViolation, match="unknown key\\(s\\) 'codes', 'consensus'; "
+                       "allowed keys are model, scenarios,"):
+        load_experiment(str(p))
+
+
+@pytest.mark.parametrize("name, where, allowed", [
+    ("model.yaml", (), "horizon, prices, demands, users, grid, graph"),
+    ("model.yaml", ("horizon",), "steps, dt"),
+    ("model.yaml", ("users", 1), "id, desd, rg"),
+    ("model.yaml", ("users", 0, "desd"), "e0, e_min, e_max, p_b_max, kappa, bdc"),
+    ("model.yaml", ("users", 0, "rg"), "kind, size_kw"),
+    ("model.yaml", ("grid",), "p_g_max"),
+    ("experiment.yaml", (), "model, scenarios, forecast, weights, seed, gamma, "
+                            "gamma_sweep, solver, monte_carlo, out_dir"),
+    ("experiment.yaml", ("scenarios", "u3"), "file, kind"),
+    ("experiment.yaml", ("forecast",), "solar, wind"),
+    ("experiment.yaml", ("gamma_sweep",), "users, num, max"),
+    ("experiment.yaml", ("monte_carlo",), "samples, honest, seed"),
+])
+def test_unknown_key_is_rejected_at_every_level(tmp_path, name, where, allowed):
+    """Every mapping of the shipped files, given one key too many, is
+    refused with the key and the allowed ones named."""
+    with open(data_path(name)) as fh:
+        doc = yaml.safe_load(fh)
+    for key in ("model", "prices", "demands"):
+        if key in doc:
+            doc[key] = data_path(doc[key])
+    for node in doc.get("scenarios", {}).values():
+        node["file"] = data_path(node["file"])
+    # the one optional mapping each shipped file leaves out
+    doc.update({"model.yaml": {"grid": {"p_g_max": 80.0}},
+                "experiment.yaml": {"gamma_sweep": {"users": [2], "num": 3}}}[name])
+    node = doc
+    for key in where:
+        node = node[key]
+    node["bogus"] = 1
+    p = tmp_path / name
+    p.write_text(yaml.safe_dump(doc))
+    load = load_model if name == "model.yaml" else load_experiment
+    with pytest.raises(InvariantViolation,
+                       match=re.escape(f"unknown key(s) 'bogus'; allowed keys are {allowed}")):
+        load(str(p))
 
 
 def test_experiment_forecast_without_wind(tmp_path):
