@@ -73,11 +73,14 @@ def _parse_honest(text, r):
 def _check_users(config, model):
     """The experiment's per-user fields and scenario pools against the model.
 
-    A pool must belong to a user with a generator of the pool's kind.
+    A pool must belong to a user with a generator of the pool's kind, and
+    every generator needs a pool: ``solve_social`` would run a generator
+    without one at zero output.
     """
     r = model.n_users
     rgs = {u.id: u.rg for u in model.users}
-    problems = []
+    problems = [f"user {uid} has a generator but no scenario pool"
+                for uid, rg in rgs.items() if rg is not None and uid not in config.scenario_files]
     for uid, (_, kind) in sorted(config.scenario_files.items()):
         if uid not in rgs:
             problems.append(f"scenario {uid}: the model has no user {uid}")
@@ -115,10 +118,15 @@ def _load_bundle(args):
     model = io.load_model(config.model_path)
     _check_users(config, model)
     pools = io.build_pools(config)
+    rgs = {u.id: u.rg for u in model.users}
     for uid, pool in pools.items():
         if pool.profiles.shape[1] != model.horizon.steps:
             raise LengthMismatch(f"scenario pool of {uid}: rows have {pool.profiles.shape[1]} "
                                  f"values but the horizon has {model.horizon.steps} steps")
+        peak, size = float(pool.profiles.max()), rgs[uid].size_kw
+        if peak > size + 4 * np.spacing(size):  # a few ulps: a pool may peak at its rating
+            raise InvariantViolation([f"scenario pool of {uid}: largest value {peak:g} kW is "
+                                      f"above the generator's rating of {size:g} kW"])
     rg = None
     if pools:
         if config.forecast is None:

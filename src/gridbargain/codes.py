@@ -55,15 +55,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-# Never called: bench/spans.py traces codes.linprog, and the benchmark
-# change of ROADMAP item 1 removes this name together with that entry.
-from scipy.optimize import linprog  # noqa: F401
 
 from .consensus import metropolis_weights
 from .errors import SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
 from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
                          _rg_profiles, _storage_dp, trading_cost)
+# scheduling's lazy linprog, kept for bench/spans.py and the no-LP test (ROADMAP item 1).
+from .scheduling import linprog  # noqa: F401
 
 __all__ = [
     "RoundMessage",

@@ -39,7 +39,8 @@ The number of batteries in the program picks the solver:
   matrix, built once per run straight from index arrays, holds O(T)
   nonzeros per battery. LPs small enough that scipy takes dense input
   faster reach ``linprog`` dense; HiGHS receives the same matrix either
-  way.
+  way. scipy is imported on the first such program, so the other two
+  cases, and every distributed run, never load it.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -51,8 +52,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import Infeasible, InvariantViolation, LengthMismatch, SolverStall
 from .model import ConstantBdc, soc_trajectory, validate_model
@@ -150,6 +149,8 @@ def _storage_lp(ports, T, dt):
     E_0 = e0 on the right-hand side. The matrix is sparse: one entry per
     port column and 4T - 1 more per battery.
     """
+    from scipy import sparse
+
     batteries = [(k, d) for k, (_, d) in enumerate(ports) if d is not None]
     n_ports, t = 2 * T * len(ports), np.arange(T)
     rows, cols = [np.tile(t, 2 * len(ports))], [np.arange(n_ports)]
@@ -195,6 +196,17 @@ def _linprog_input(lp):
     if A.shape[0] * A.shape[1] > _DENSE_INPUT_MAX:
         return lp
     return dict(lp, A_eq=A.toarray())
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on the first call.
+
+    Only programs with two or more batteries reach HiGHS, and importing
+    ``scipy.optimize`` takes longer than a whole distributed run.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _solve_lp(c, lp, bus, what):

@@ -1,7 +1,10 @@
 """Command line driver: exit codes, file outputs, reproducibility."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -15,6 +18,11 @@ from gridbargain.bargaining import PREDICATES
 
 FAV_D = "-61.33,481.18,101.48,-23.34"
 FAV_JSOC = "438.68"
+POOLS = {
+    "u1": {"file": data_path("pool_u1.csv"), "kind": "pv"},
+    "u3": {"file": data_path("pool_u3.csv"), "kind": "wt"},
+    "u4": {"file": data_path("pool_u4.csv"), "kind": "pv"},
+}
 
 
 def _read(path):
@@ -26,11 +34,7 @@ def _experiment(tmp_path, name="e.yaml", **overrides):
     """Experiment file against the shipped model, small MC by default."""
     doc = {
         "model": data_path("model.yaml"),
-        "scenarios": {
-            "u1": {"file": data_path("pool_u1.csv"), "kind": "pv"},
-            "u3": {"file": data_path("pool_u3.csv"), "kind": "wt"},
-            "u4": {"file": data_path("pool_u4.csv"), "kind": "pv"},
-        },
+        "scenarios": POOLS,
         "forecast": {"solar": [0.8, 0.2, 0.0], "wind": [0.0, 0.3, 0.7, 0.0]},
         "weights": "random",
         "seed": 0,
@@ -221,6 +225,40 @@ def test_region_seed_changes_draws(tmp_path):
                for n in PREDICATES)
 
 
+# Runs one command in the interpreter it starts, then prints the exit code
+# and which of scipy's solver modules got imported.
+_IMPORT_PROBE = """
+import sys
+from gridbargain import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted({"scipy.optimize", "scipy.sparse"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["report", data_path("experiment.yaml"), "--solver", "distributed"], False),
+    (["schedule", data_path("experiment.yaml"), "--solver", "distributed"], False),
+    (["forecast", data_path("experiment.yaml")], False),
+    (["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--gamma", "0,0.05,0.05,0",
+      "--samples", "0"], False),
+    # control: the shipped model has three batteries, so its pooled LP goes to HiGHS
+    (["report", data_path("experiment.yaml"), "--solver", "centralized"], True),
+], ids=["report_distributed", "schedule_distributed", "forecast", "bargain_d_vector",
+        "report_centralized"])
+def test_scipy_is_imported_only_where_highs_runs(tmp_path, argv, loads_scipy):
+    """A fresh interpreter: the test modules import scipy themselves."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    if loads_scipy:
+        assert "scipy.optimize" in loaded
+    else:
+        assert loaded == []
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_exit_2_missing_config(tmp_path):
@@ -283,19 +321,20 @@ def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
      "gamma_sweep.users: positions [5] are outside users 1..4"),
     ({"gamma_sweep": {"users": [0], "num": 3}},
      "gamma_sweep.users: positions [0] are outside users 1..4"),
-    ({"scenarios": {"U1": {"file": data_path("pool_u1.csv"), "kind": "pv"}}},
-     "scenario U1: the model has no user U1"),
-    ({"scenarios": {"u2": {"file": data_path("pool_u1.csv"), "kind": "pv"}}},
-     "scenario u2: user u2 has no generator"),
-    ({"scenarios": {"u3": {"file": data_path("pool_u3.csv"), "kind": "pv"}}},
+    ({"scenarios": {**POOLS, "U1": POOLS["u1"]}}, "scenario U1: the model has no user U1"),
+    ({"scenarios": {**POOLS, "u2": POOLS["u1"]}}, "scenario u2: user u2 has no generator"),
+    ({"scenarios": {**POOLS, "u3": {**POOLS["u3"], "kind": "pv"}}},
      "scenario u3: kind 'pv' does not match user u3's generator, a Wt"),
+    ({"scenarios": {"u1": POOLS["u1"], "u3": POOLS["u3"]}},
+     "user u4 has a generator but no scenario pool"),
 ], ids=["gamma_3", "gamma_5", "honest_7", "honest_5_no_mc", "sweep_5", "sweep_0",
-        "pool_of_no_user", "pool_of_passive_user", "pool_of_other_kind"])
+        "pool_of_no_user", "pool_of_passive_user", "pool_of_other_kind", "generator_without_pool"])
 def test_exit_2_per_user_fields_that_do_not_fit_the_model(tmp_path, caplog, command,
                                                           overrides, message):
     """gamma, monte_carlo.honest and gamma_sweep.users are checked against
-    the model's users, by their 1-based positions, and every scenario
-    pool against the generator of its user, before any solve or write."""
+    the model's users, by their 1-based positions, every scenario pool
+    against the generator of its user and every generator against the
+    pools, before any solve or write."""
     cfg = _experiment(tmp_path, **overrides)
     out = tmp_path / "out"
     assert cli.main([command, cfg, "--out", str(out)]) == 2
@@ -554,7 +593,7 @@ def test_exit_2_scenario_pool_of_wrong_width(tmp_path, command):
     rows = np.loadtxt(data_path("pool_u1.csv"), delimiter=",", ndmin=2)
     np.savetxt(tmp_path / "pool_u1.csv", rows[:, :20], delimiter=",")
     cfg = _experiment(tmp_path, scenarios={
-        "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
+        **POOLS, "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
     assert cli.main([command, cfg, "--out", str(tmp_path / "out")]) == 2
 
 
@@ -563,7 +602,7 @@ def test_exit_2_nan_in_scenario_pool(tmp_path):
     rows[3, 12] = np.nan
     np.savetxt(tmp_path / "pool_u1.csv", rows, delimiter=",")
     cfg = _experiment(tmp_path, scenarios={
-        "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
+        **POOLS, "u1": {"file": str(tmp_path / "pool_u1.csv"), "kind": "pv"}})
     out = tmp_path / "out"
     assert cli.main(["forecast", cfg, "--out", str(out)]) == 2
     assert not (out / "forecast.json").exists()

@@ -6,16 +6,18 @@ command line turns into exit 2. A bare TypeError, KeyError or
 ValueError would be a traceback instead.
 """
 
+import argparse
 import os
 import tempfile
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridbargain import (DesdParams, GridBargainError, GridLimits, Horizon, MicrogridModel,
-                         PiecewiseSocBdc, PriceProfile, UserSpec, Wt, data_path)
+                         PiecewiseSocBdc, PriceProfile, UserSpec, Wt, cli, data_path)
 from gridbargain.io import (load_demands, load_experiment, load_model, load_prices,
                             read_matrix, read_table)
 from gridbargain.model import ConstantBdc, model_violations, validate_model
@@ -107,6 +109,80 @@ def test_load_model_loads_or_rejects(edits):
 @given(_edits(EXPERIMENT))
 def test_load_experiment_loads_or_rejects(edits):
     _loads_or_bad_input(load_experiment, _mutated(EXPERIMENT, edits))
+
+
+RATINGS = {u["id"]: u["rg"]["size_kw"] for u in MODEL["users"] if "rg" in u}
+
+
+def _bundle_or_refusal(doc, tmp):
+    """``doc`` written as an experiment file and loaded as the command line
+    does: the bundle, or the refusal. ``schedule`` must exit 2 on a refusal
+    without creating its output directory, so nothing was solved."""
+    path = os.path.join(tmp, "e.yaml")
+    with open(path, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    try:
+        return cli._load_bundle(argparse.Namespace(config=path, seed=None))
+    except GridBargainError as exc:
+        out = os.path.join(tmp, "out")
+        assert cli.main(["schedule", path, "--out", out]) == 2
+        assert not os.path.exists(out)
+        return exc
+
+
+@PROPERTY
+@given(st.sets(st.sampled_from(sorted(RATINGS)), min_size=1))
+def test_every_generator_needs_a_pool(dropped):
+    doc = _mutated(EXPERIMENT, [(("scenarios", uid), _DROP) for uid in dropped])
+    with tempfile.TemporaryDirectory() as tmp:
+        refusal = _bundle_or_refusal(doc, tmp)
+    assert isinstance(refusal, GridBargainError)
+    for uid in dropped:
+        assert f"user {uid} has a generator but no scenario pool" in str(refusal)
+
+
+def _scaled_pool(tmp, uid, scale):
+    """The shipped experiment with ``uid``'s pool multiplied by ``scale``."""
+    rows = read_matrix(EXPERIMENT["scenarios"][uid]["file"]) * scale
+    path = os.path.join(tmp, f"{uid}.csv")
+    np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+    return _mutated(EXPERIMENT, [(("scenarios", uid, "file"), path)]), rows.max()
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(RATINGS)), st.floats(0.0, 1.0))
+def test_a_pool_up_to_its_rating_loads(uid, scale):
+    """The shipped pools peak at exactly their generator's rating."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, _ = _scaled_pool(tmp, uid, scale)
+        config, model, pools, rg = _bundle_or_refusal(doc, tmp)
+    assert pools[uid].profiles.max() <= RATINGS[uid]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(RATINGS)), st.floats(1.0 + 1e-9, 1e6))
+def test_a_pool_above_its_rating_is_refused(uid, scale):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, peak = _scaled_pool(tmp, uid, scale)
+        refusal = _bundle_or_refusal(doc, tmp)
+    assert isinstance(refusal, GridBargainError)
+    assert (f"scenario pool of {uid}: largest value {peak:g} kW is above the generator's "
+            f"rating of {RATINGS[uid]:g} kW") in str(refusal)
+
+
+@pytest.mark.parametrize("ulps, loads", [(1, True), (4, True), (5, False)])
+def test_a_pool_may_exceed_its_rating_by_a_few_ulps(ulps, loads):
+    """A rating read from a file and a pool computed from it may differ in
+    the last bits; more than that is a pool above its rating."""
+    rating = RATINGS["u3"]
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, _ = _scaled_pool(tmp, "u3", 1.0)
+        path = doc["scenarios"]["u3"]["file"]
+        rows = read_matrix(path)
+        rows[rows == rows.max()] = rating + ulps * np.spacing(rating)
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        result = _bundle_or_refusal(doc, tmp)
+    assert isinstance(result, GridBargainError) != loads
 
 
 csv_text = st.text(alphabet="0123456789.,-+e\n #abinfu_é", max_size=60)
