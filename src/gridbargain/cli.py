@@ -136,7 +136,7 @@ def _load_bundle(args):
     return config, model, pools, rg
 
 
-def _schedule(model, rg, config, solver):
+def _schedule(model, rg, solver):
     """Run one solver; returns (outcome, report fragment, codes run or None, seconds)."""
     t0 = time.perf_counter()
     if solver == "centralized":
@@ -199,11 +199,11 @@ def cmd_schedule(args):
     config, model, pools, rg = _load_bundle(args)
     solver = args.solver or config.solver
     out = _out_dir(args, config)
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
+    outcome, frag, run, elapsed = _schedule(model, rg, solver)
     timings = {"schedule_s": elapsed}
     if args.verify_oracle:
         other = "centralized" if solver == "distributed" else "distributed"
-        _, frag2, run2, elapsed2 = _schedule(model, rg, config, other)
+        _, frag2, run2, elapsed2 = _schedule(model, rg, other)
         frag["oracle_solver"] = other
         frag["oracle_j_soc"] = frag2["j_soc"]
         frag["cost_gap"] = frag["j_soc"] - frag2["j_soc"]
@@ -230,18 +230,18 @@ def _bargain_inputs(args):
         if not np.isfinite(args.jsoc):
             raise InvariantViolation([f"--jsoc must be finite, got {args.jsoc}"])
         d = _parse_floats(args.d_vector, "--d-vector")
-        return None, d, float(args.jsoc), None, {}
+        return None, d, float(args.jsoc), {}
     if args.config is None:
         raise InvariantViolation(["give an experiment config or --d-vector/--jsoc"])
     config, model, pools, rg = _load_bundle(args)
     solver = getattr(args, "solver", None) or config.solver
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
+    outcome, frag, run, elapsed = _schedule(model, rg, solver)
     if run is not None and not run.converged:
         raise NoConvergence(
             f"distributed schedule left a gap of {run.gap:.4f} cents")
     individual = scheduling.individual_costs(model, rg)
     d = np.array([individual[u.id].cost for u in model.users])
-    return config, d, float(outcome.social_cost), model, {
+    return config, d, float(outcome.social_cost), {
         "schedule": frag, "timings": {"schedule_s": elapsed},
     }
 
@@ -265,7 +265,7 @@ def _gamma_sweep_csv(out, d, j_soc, sweep):
 
 
 def cmd_bargain(args):
-    config, d, j_soc, model, extra = _bargain_inputs(args)
+    config, d, j_soc, extra = _bargain_inputs(args)
     r = d.shape[0]
     gamma = None
     if args.gamma is not None:
@@ -321,7 +321,7 @@ def cmd_bargain(args):
 
 
 def cmd_region(args):
-    config, d, j_soc, model, extra = _bargain_inputs(args)
+    config, d, j_soc, extra = _bargain_inputs(args)
     r = d.shape[0]
     bargaining.check_scale(d, j_soc)
     honest = _parse_honest(args.honest, r) if args.honest is not None else (
@@ -363,7 +363,7 @@ def cmd_report(args):
     if rg is not None:
         forecast_index = _write_forecast(out, model, rg)
 
-    outcome, frag, run, elapsed = _schedule(model, rg, config, solver)
+    outcome, frag, run, elapsed = _schedule(model, rg, solver)
     timings["schedule_s"] = elapsed
     if run is not None and not run.converged:
         log.error("distributed solver left a gap of %.4f cents", run.gap)

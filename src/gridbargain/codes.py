@@ -45,8 +45,11 @@ removes any simultaneous charge/discharge the averaging introduced. It
 is the same DP with the grid rated 0 kW, so a run calls no LP solver at
 all.
 
-The routine is deterministic: a given (model, rg) gives the same
-result bit for bit.
+A run ends at the round of its closing check, or at MAX_ROUNDS when no
+check closes. Every round each agent puts one message on the bus, so a
+run of k rounds sends (r+1) k messages and nothing after its last
+round. The routine is deterministic: a given (model, rg) gives the
+same result bit for bit.
 """
 
 from __future__ import annotations
@@ -79,8 +82,7 @@ STEP_A, STEP_B = 1.0, 10.0  # diminishing price step STEP_A / (k + STEP_B)
 GRID_RAMP = 4.0  # grid damping: cents of price incentive per kW of response per round
 LAZY_TOL = 0.02  # price movement (cents/kWh) that triggers a fresh user solve
 RELINEARIZE_EVERY = 100  # rounds between re-lookups of SOC-dependent unit costs
-RESIDUAL_TOL = 1e-6  # kW of imbalance the grid patch may leave
-DUAL_TOL = 1e-3  # price spread across agents that the final polish must reach
+BALANCE_TOL = 1e-6  # kW of imbalance the grid patch may leave
 MAX_ROUNDS = 6000  # round budget; running out is reported as converged=False
 CHECK_EVERY = 25  # rounds between certificate checks
 # The run stops once the certified gap is within
@@ -106,12 +108,10 @@ class RoundMessage:
 @dataclass(frozen=True)
 class CodesRun:
     outcome: SocialScheduleOutcome
-    ledger: dict  # agent id -> cents it accounts for (grid: trading cost)
     converged: bool
     iterations: int
     gap: float
     trace: np.ndarray  # (checks, 3): round, certified gap, patch residual kW
-    final_duals: np.ndarray  # (agents, T) prices at termination
     messages: list | None = None
 
 
@@ -250,11 +250,6 @@ def run_codes(model, rg=None, *, record_messages=False):
     converged = False
     rounds_done = 0
 
-    def record(iteration):
-        for i, sender in enumerate(senders):
-            messages.append(RoundMessage(sender=sender, iteration=iteration,
-                                         dual_prices=lam[i].copy(), mismatch=M[i].copy()))
-
     def tol_for(cost):
         return max(COST_TOL_ABS, COST_TOL_REL * abs(cost))
 
@@ -304,7 +299,9 @@ def run_codes(model, rg=None, *, record_messages=False):
     for k in range(1, MAX_ROUNDS + 1):
         rounds_done = k
         if messages is not None:
-            record(k)
+            for i, sender in enumerate(senders):
+                messages.append(RoundMessage(sender=sender, iteration=k,
+                                             dual_prices=lam[i].copy(), mismatch=M[i].copy()))
 
         step = STEP_A / (k + STEP_B)
         lam = np.clip(W @ lam + step * n * M, 0.0, lam_hi)
@@ -354,7 +351,7 @@ def run_codes(model, rg=None, *, record_messages=False):
             q1 = _dual_value(lam_tail, netload, pb, ps, p_max, dt, locals_, units)
             q2 = _dual_value(lam_snap, netload, pb, ps, p_max, dt, locals_, units)
             best_q = max(best_q, q1, q2)
-            if cost < best_cost and resid <= RESIDUAL_TOL:
+            if cost < best_cost and resid <= BALANCE_TOL:
                 best_cost = cost
                 best = (avg_d, avg_c, gb, gs, resid)
             gap = best_cost - best_q
@@ -364,7 +361,7 @@ def run_codes(model, rg=None, *, record_messages=False):
                 except SolverStall:
                     better = None
                 if (better is not None and better[5] < best_cost
-                        and better[4] <= RESIDUAL_TOL):
+                        and better[4] <= BALANCE_TOL):
                     best = better[:5]
                     best_cost = better[5]
                     gap = best_cost - best_q
@@ -377,30 +374,15 @@ def run_codes(model, rg=None, *, record_messages=False):
         avg_d, avg_c, gb, gs, resid, cost = candidate()
         best, best_cost = (avg_d, avg_c, gb, gs, resid), cost
 
-    # Price agreement polish: plain averaging, no innovation.
-    polish = 0
-    while polish < 2000 and float(np.max(lam.max(axis=0) - lam.min(axis=0))) > DUAL_TOL:
-        polish += 1
-        if messages is not None:
-            record(rounds_done + polish)
-        lam = W @ lam
-        M = W @ M
-
     avg_d, avg_c, gb, gs, resid = best
     discharge, charge = {}, {}
     for u in active:
         discharge[u.id], charge[u.id] = locals_[u.id].min_throughput(
             units[u.id], avg_d[u.id] - avg_c[u.id])
-    outcome = _costed(active, gb, gs, discharge, charge, model.prices, dt)
-    ledger = {GRID_AGENT: outcome.trading_cost}
-    for u in model.users:
-        ledger[u.id] = outcome.bdc_costs.get(u.id, 0.0)
-
     return CodesRun(
-        outcome=outcome, ledger=ledger, converged=converged,
-        iterations=rounds_done, gap=float(best_cost - best_q),
-        trace=np.array(trace, dtype=float).reshape(-1, 3),
-        final_duals=lam.copy(), messages=messages,
+        outcome=_costed(active, gb, gs, discharge, charge, model.prices, dt),
+        converged=converged, iterations=rounds_done, gap=float(best_cost - best_q),
+        trace=np.array(trace, dtype=float).reshape(-1, 3), messages=messages,
     )
 
 

@@ -50,7 +50,6 @@ def metropolis_weights(edges, n):
 
 @dataclass(frozen=True)
 class ConsensusRun:
-    initial: np.ndarray
     final: np.ndarray
     iterations: int
 
@@ -68,7 +67,7 @@ def run_average_consensus(x0, W):
         raise ValueError(f"x0 must be a vector of length {W.shape[0]}")
     for k in range(MAX_ITER + 1):
         if float(x.max() - x.min()) <= SPREAD_TOL:
-            return ConsensusRun(initial=np.array(x0, dtype=float), final=x, iterations=k)
+            return ConsensusRun(final=x, iterations=k)
         x = W @ x
     raise NoConvergence(f"consensus spread above {SPREAD_TOL:g} after {MAX_ITER} iterations")
 

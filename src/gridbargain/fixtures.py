@@ -117,10 +117,6 @@ class ReferenceCase:
     def eps0(self):
         return (float(self.d.sum()) - self.j_soc) / self.d.shape[0]
 
-    @property
-    def budget(self):
-        return float(self.d.sum()) - self.j_soc
-
 
 REFERENCE_FAVORABLE = ReferenceCase(
     name="favorable", forecast=FAVORABLE_FORECAST,

@@ -67,24 +67,31 @@ def _must_exist(path):
     return path
 
 
-def _loadtxt(path, **kwargs):
+def _loadtxt(path, skiprows=0):
+    """Numeric rows of a CSV after its first skiprows lines, and those lines.
+
+    ``#`` starts a comment. A file with no data row (empty, header only,
+    or comments only) is refused here rather than read as an empty array.
+    """
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+        with open(_must_exist(path)) as fh:
+            lines = fh.readlines()
+        if not any(line.split("#", 1)[0].strip() for line in lines[skiprows:]):
+            raise InvariantViolation([f"{path}: no data rows"])
+        return np.loadtxt(lines[skiprows:], delimiter=",", ndmin=2, comments="#"), lines[:skiprows]
     except ValueError as exc:
         raise InvariantViolation([f"{path}: {exc}"])
 
 
 def read_matrix(path):
     """Plain numeric CSV as a 2-D float array (scenario pools)."""
-    return _loadtxt(_must_exist(path), comments="#")
+    return _loadtxt(path)[0]
 
 
 def read_table(path):
     """CSV with one header line; returns (column names, 2-D float array)."""
-    with open(_must_exist(path)) as fh:
-        header = fh.readline().strip()
-    cols = [c.strip() for c in header.split(",")]
-    arr = _loadtxt(path, skiprows=1)
+    arr, (header,) = _loadtxt(path, skiprows=1)
+    cols = [c.strip() for c in header.strip().split(",")]
     if arr.shape[1] != len(cols):
         raise InvariantViolation(
             [f"{path}: {len(cols)} header columns but {arr.shape[1]} data columns"])

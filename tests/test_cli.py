@@ -397,6 +397,19 @@ def _word_in_demands(tmp_path):
     return cfg
 
 
+def _no_data_rows(name, text):
+    """Experiment whose CSV ``name`` holds no data rows; returns the
+    config and the refusal that must name that file."""
+    def make(tmp_path):
+        if name.startswith("pool"):
+            cfg = _experiment(tmp_path, scenarios={**POOLS, "u1": {"file": name, "kind": "pv"}})
+        else:
+            cfg = _bridge_experiment(tmp_path)
+        (tmp_path / name).write_text(text)
+        return cfg, f"{name}: no data rows"
+    return make
+
+
 def _model_with(**sections):
     """Bridge experiment whose model file has these top-level sections."""
     def make(tmp_path):
@@ -436,16 +449,25 @@ def _model_with(**sections):
     _model_with(graph=[[0]]),
     _model_with(users=[{"id": "u1", "rg": [1]}, {"id": "u2"}]),
     _model_with(users=[{"id": "u1", "desd": [1]}, {"id": "u2"}]),
+    _no_data_rows("pool_u1.csv", ""),
+    _no_data_rows("d.csv", "u1,u2\n"),
+    _no_data_rows("p.csv", "p_buy,p_sell\n"),
 ], ids=["yaml_syntax", "model_5", "seed_list", "samples_word", "kappa_word", "demand_word",
         "users_7", "horizon_24", "forecast_5", "scenarios_list", "monte_carlo_5",
         "forecast_solar_5", "forecast_no_wind", "scenario_no_file", "scenario_5", "honest_5",
         "sweep_num_word", "sweep_users_word", "sweep_users_1", "sweep_users_twice", "user_5",
         "horizon_no_steps",
-        "grid_empty", "graph_edge_0", "rg_list", "desd_list"])
-def test_exit_2_malformed_config_or_csv(tmp_path, make_config):
+        "grid_empty", "graph_edge_0", "rg_list", "desd_list",
+        "pool_empty", "demands_header_only", "prices_header_only"])
+def test_exit_2_malformed_config_or_csv(tmp_path, caplog, make_config):
+    """make_config returns the config, or the config and a message the
+    refusal must hold."""
+    cfg = make_config(tmp_path)
+    cfg, message = cfg if isinstance(cfg, tuple) else (cfg, "")
     out = tmp_path / "out"
-    assert cli.main(["schedule", make_config(tmp_path), "--out", str(out)]) == 2
+    assert cli.main(["schedule", cfg, "--out", str(out)]) == 2
     assert not any(out.glob("*.json"))
+    assert message in caplog.text
 
 
 @pytest.mark.parametrize("make_config", [
