@@ -144,6 +144,7 @@ def _schedule(model, rg, solver):
         extra = {"outer_iterations": outcome.outer_iterations}
     else:
         run = codes.run_codes(model, rg)
+        log.info("distributed run: %d rounds, %d probe steps", run.iterations, run.probe_steps)
         outcome = run.outcome
         extra = {"iterations": run.iterations, "converged": run.converged,
                  "certified_gap": run.gap}

@@ -4,52 +4,49 @@ The pooled schedule of ``scheduling.solve_social`` is recovered without
 any agent revealing its demand, generation, or device parameters. Each
 agent (r users plus the grid) keeps a private copy of the shadow price
 of power balance at every step and a tracker of the network-wide
-supply-demand mismatch. A synchronous round is:
+supply-demand mismatch, held as rows of (r+1, T) arrays (row r the
+grid): ``lam``, ``M`` and the own imbalances ``R``. A round is:
 
-1. local step: the agent re-optimizes only its own devices against its
-   current price copy. Users solve their storage program exactly with
-   an O(T^2) dynamic program over the convex piecewise-linear value of
-   stored energy, no LP solver involved (lazily: a fresh solve only
-   once their price copy has moved by LAZY_TOL). Where several
-   schedules are optimal the DP picks the one ending each hour at the
-   higher state of charge, which the round counts depend on. The grid
-   ramps its exchange toward profitability (GRID_RAMP), a damped best
-   response that keeps the network signal smooth.
+1. local step: each user re-solves its storage program against its
+   price copy, exactly, by the DP of ``scheduling`` (lazily: only once
+   the copy has moved by LAZY_TOL; ties end the hour at the higher state
+   of charge, which the round counts depend on). The grid ramps its
+   exchange toward profitability, damped by GRID_RAMP.
 2. exchange: the agent sends neighbors its price copy and mismatch
    tracker, nothing else.
 3. update: price copies are averaged with Metropolis weights and nudged
-   by a diminishing step STEP_A/(k+STEP_B) times the mismatch tracker
-   (innovation); trackers are averaged and corrected by the change in
-   the agent's own imbalance, which keeps their network sum equal to
-   the true instantaneous mismatch.
+   by STEP_A/(k+STEP_B) times the tracker; trackers follow
+   M = W M + R - R_old, so their sum is the true mismatch.
 
-The state of all agents is held as (r+1, T) arrays, row i for user i
-and row r for the grid: ``lam`` (price copies), ``M`` (trackers) and
-``R`` (own imbalances), so the tracker update is M = W M + R - R_old.
+Tail averages (restarted at geometrically growing rounds) smooth the
+price oscillation. At each check the candidate is the averaged user
+schedules with the grid absorbing the leftover imbalance; its cost minus
+the best dual value q(lam) seen so far is a certified gap, and the run
+stops once that meets the cost tolerance. Any common price gives a valid
+q, at one exact DP per user. While the gap is open, a round-robin
+rebalance lets each user in turn re-solve from the check's candidate
+against the true tariff together with the grid (one battery plus the
+grid, the same DP); it is kept when it beats the best schedule.
 
-Price oscillation is smoothed by tail averaging (accumulators restart
-at geometrically growing rounds, so averages cover roughly the trailing
-half). The candidate schedule is the tail-averaged user schedules with
-the grid absorbing the leftover imbalance; its cost minus the dual
-value of the tail-averaged network price is a certified optimality gap,
-and the run stops once that certificate meets the cost tolerance.
-SOC-dependent unit costs are re-looked-up on the averaged trajectories
-every RELINEARIZE_EVERY rounds, which restarts the certificate. At
-every check whose gap is still open, a round-robin rebalance starts
-from that check's candidate and lets each user in turn re-solve against
-the true tariff together with the grid; its schedule is kept when it
-beats the best one. Each of those best responses, one battery plus the
-grid, is the exact DP of ``scheduling`` too. A final per-user cleanup
-pass re-times each storage schedule at fixed net injection, which
-removes any simultaneous charge/discharge the averaging introduced. It
-is the same DP with the grid rated 0 kW, so a run calls no LP solver at
-all.
+When every battery has a constant cost, the first check comes at round
+FIRST_CHECK and later ones every CHECK_EVERY rounds. A check still open
+after the rebalance then takes up to PROBE_STEPS projected Polyak steps
+(Polyak 1987) on the bus price: lam_t is pinned at the buy price where
+the best schedule buys and at the sell price where it sells, and free
+in [sell, buy] elsewhere; it moves by POLYAK_STEP (best cost - q) g/|g|^2,
+g the mismatch at lam on the free hours. The first probe starts from the
+mean price copy, later ones where the last stopped. Like the rest of the
+certificate the probe is central; deployed, each step is a round of
+local solves plus a network sum, so ``CodesRun.probe_steps`` counts them.
+SOC-dependent unit costs are instead re-looked-up on the averaged
+trajectories every RELINEARIZE_EVERY rounds, which restarts the
+certificate; such runs check every CHECK_EVERY rounds and never probe.
 
-A run ends at the round of its closing check, or at MAX_ROUNDS when no
-check closes. Every round each agent puts one message on the bus, so a
-run of k rounds sends (r+1) k messages and nothing after its last
-round. The routine is deterministic: a given (model, rg) gives the
-same result bit for bit.
+A final per-user cleanup re-times each storage schedule at fixed net
+injection (the DP with the grid rated 0 kW), so a run calls no LP
+solver. A run ends at its closing check, or at MAX_ROUNDS; each round
+every agent puts one message on the bus, (r+1) k messages in k rounds.
+A given (model, rg) gives the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -67,14 +64,8 @@ from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid
 # scheduling's lazy linprog, kept for bench/spans.py and the no-LP test (ROADMAP item 1).
 from .scheduling import linprog  # noqa: F401
 
-__all__ = [
-    "RoundMessage",
-    "CodesRun",
-    "run_codes",
-    "convergence_trace",
-    "dump_message_log",
-    "GRID_AGENT",
-]
+__all__ = ["RoundMessage", "CodesRun", "run_codes", "convergence_trace", "dump_message_log",
+           "GRID_AGENT"]
 
 GRID_AGENT = "grid"
 
@@ -85,19 +76,16 @@ RELINEARIZE_EVERY = 100  # rounds between re-lookups of SOC-dependent unit costs
 BALANCE_TOL = 1e-6  # kW of imbalance the grid patch may leave
 MAX_ROUNDS = 6000  # round budget; running out is reported as converged=False
 CHECK_EVERY = 25  # rounds between certificate checks
-# The run stops once the certified gap is within
-# max(COST_TOL_ABS cents, COST_TOL_REL * |cost|).
-COST_TOL_ABS, COST_TOL_REL = 0.1, 1e-3
+FIRST_CHECK = 5  # round of the first check when every battery has a constant cost
+PROBE_STEPS, POLYAK_STEP = 15, 1.5  # price probe per open check: step budget, step factor
+COST_TOL_ABS, COST_TOL_REL = 0.1, 1e-3  # stop at a certified gap <= max(ABS c, REL |cost|)
 
 
 @dataclass(frozen=True)
 class RoundMessage:
-    """What one agent puts on the bus in one round.
-
-    Only coordination state: the sender's price copy and mismatch
-    tracker. No demand, generation, or device fields exist here, which
-    is the privacy contract the audit checks.
-    """
+    """What one agent puts on the bus in one round: its price copy and
+    mismatch tracker. No demand, generation, or device fields exist
+    here, which is the privacy contract the audit checks."""
 
     sender: str
     iteration: int
@@ -112,6 +100,7 @@ class CodesRun:
     iterations: int
     gap: float
     trace: np.ndarray  # (checks, 3): round, certified gap, patch residual kW
+    probe_steps: int  # dual evaluations of the price probe, one DP per user each
     messages: list | None = None
 
 
@@ -119,12 +108,10 @@ class _UserLocal:
     """One active user's storage subproblem, solved exactly when asked.
 
     min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
-    polytope. The per-round step and its value are
-    ``scheduling._storage_dp`` in energy units, two segments per step:
-    fill less at -beta per kWh (y = kappa charge dt up to Y) and drain
-    more at alpha (x = discharge dt / kappa up to X). The round-robin
-    rebalance is the same DP on the battery-plus-grid program, and the
-    cleanup is that program with the grid rated 0 kW.
+    polytope, by ``scheduling._storage_dp`` in energy units with two
+    segments per step: fill less at -beta per kWh (y = kappa charge dt up
+    to Y) and drain more at alpha (x = discharge dt / kappa up to X). The
+    rebalance and the cleanup are the DP's battery-plus-grid program.
     """
 
     def __init__(self, desd, T, dt, p_max):
@@ -144,13 +131,13 @@ class _UserLocal:
 
     def solve(self, unit_cost, lam):
         """Optimal (discharge, charge) against the price copy lam."""
-        _, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args, True)
-        kappa, dt = self.desd.kappa, self.dt
-        return np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
+        return self.priced(unit_cost, lam)[1:]
 
-    def value(self, unit_cost, lam):
-        """Optimal cost against lam, without recovering the schedule."""
-        return _storage_dp(self._steps(unit_cost, lam), *self._dp_args, False)[0]
+    def priced(self, unit_cost, lam):
+        """Optimal cost against lam, and the (discharge, charge) attaining it."""
+        v, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args, True)
+        kappa, dt = self.desd.kappa, self.dt
+        return v, np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
 
     def min_throughput(self, unit_cost, net):
         """Cheapest schedule with the given net injection (cleanup pass).
@@ -180,13 +167,17 @@ class _UserLocal:
 
 
 def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
-    """Lower bound on the social cost at a common price vector lam."""
+    """Lower bound q(lam) on the social cost at a common price vector lam,
+    and the users' net injection (discharge - charge) at that q."""
     q = float(np.sum(lam * netload) * dt)
     q += float(np.sum(np.minimum(0.0, pb - lam) * p_max * dt))
     q += float(np.sum(np.minimum(0.0, lam - ps) * p_max * dt))
+    inj = np.zeros(len(lam))
     for uid, loc in locals_.items():
-        q += loc.value(units[uid], lam)
-    return q
+        v, d, c = loc.priced(units[uid], lam)
+        q += v
+        inj += d - c
+    return q, inj
 
 
 def run_codes(model, rg=None, *, record_messages=False):
@@ -199,8 +190,7 @@ def run_codes(model, rg=None, *, record_messages=False):
     """
     model = validate_model(model)
     T, dt = int(model.horizon.steps), float(model.horizon.dt)
-    r = model.n_users
-    n = r + 1
+    r, n = model.n_users, model.n_users + 1
     pb, ps = model.prices.buy, model.prices.sell
     p_max = model.grid.p_g_max
 
@@ -229,9 +219,8 @@ def run_codes(model, rg=None, *, record_messages=False):
 
     # Round 0 local step seeds the imbalances and trackers. Each active
     # user keeps its last schedule, the price copy it was solved at and
-    # the tail-average sums (discharge, charge); all users and the
-    # network price below restart their sums together, so they share
-    # avg_count.
+    # its tail sums (discharge, charge), which restart with the network
+    # price's below, so all share avg_count.
     sched, solved_at, acc = {}, {}, {}
     for uid, i in rows.items():
         sched[uid] = locals_[uid].solve(units[uid], lam[i])
@@ -248,7 +237,8 @@ def run_codes(model, rg=None, *, record_messages=False):
     trace = []
     next_restart = 64
     converged = False
-    rounds_done = 0
+    rounds_done = probe_steps = 0
+    probe_lam = None  # where the last price probe stopped
 
     def tol_for(cost):
         return max(COST_TOL_ABS, COST_TOL_REL * abs(cost))
@@ -273,10 +263,9 @@ def run_codes(model, rg=None, *, record_messages=False):
         """Round-robin exact best responses against the true tariff.
 
         Averaging can leave small imbalances on hours where several
-        schedules tie; patching them at the tariff spread costs real
-        cents. Letting each user in turn re-solve against the true
-        prices with everyone else frozen moves that mass back. Each
-        pass only needs the aggregate of the others, which is what the
+        schedules tie, and patching them at the tariff spread costs real
+        cents; each user's re-solve with everyone else frozen moves that
+        mass back. It needs only the others' aggregate, which the
         mismatch tracker already circulates.
         """
         d, c = dict(d0), dict(c0)
@@ -296,6 +285,21 @@ def run_codes(model, rg=None, *, record_messages=False):
             out = (dict(d), dict(c), gb, gs, resid, cost)
         return out
 
+    def probe(start):
+        """Projected Polyak steps on the bus price; returns (last price, best q, steps)."""
+        lo = np.where(best[2] > 1e-6, pb, ps)  # pinned where the best schedule buys
+        hi = np.where(best[3] > 1e-6, ps, pb)  # or sells
+        lam_p, q_best, steps = np.clip(start, lo, hi), best_q, 0
+        for steps in range(1, PROBE_STEPS + 1):
+            q, inj = _dual_value(lam_p, netload, pb, ps, p_max, dt, locals_, units)
+            q_best = max(q_best, q)
+            g = np.where(lo < hi, netload - inj, 0.0) * dt
+            gg = float(g @ g)
+            if best_cost - q_best <= tol_for(best_cost) or gg == 0.0:
+                break
+            lam_p = np.clip(lam_p + POLYAK_STEP * (best_cost - q) / gg * g, lo, hi)
+        return lam_p, q_best, steps
+
     for k in range(1, MAX_ROUNDS + 1):
         rounds_done = k
         if messages is not None:
@@ -303,11 +307,9 @@ def run_codes(model, rg=None, *, record_messages=False):
                 messages.append(RoundMessage(sender=sender, iteration=k,
                                              dual_prices=lam[i].copy(), mismatch=M[i].copy()))
 
-        step = STEP_A / (k + STEP_B)
-        lam = np.clip(W @ lam + step * n * M, 0.0, lam_hi)
+        lam = np.clip(W @ lam + STEP_A / (k + STEP_B) * n * M, 0.0, lam_hi)
         R_old = R.copy()
-        restart = k >= next_restart
-        if restart:
+        if k >= next_restart:
             next_restart *= 2
             acc = {uid: np.zeros((2, T)) for uid in rows}
             avg_count = 0
@@ -326,31 +328,28 @@ def run_codes(model, rg=None, *, record_messages=False):
         M = W @ M + R - R_old
         lam_net_acc += lam.mean(axis=0)
 
-        if k % CHECK_EVERY == 0 or k == MAX_ROUNDS:
+        if k % CHECK_EVERY == 0 or k == MAX_ROUNDS or (all_constant and k == FIRST_CHECK):
             if not all_constant and k % RELINEARIZE_EVERY == 0:
                 changed = False
                 for u in active:
                     soc = soc_trajectory(u.desd, *(acc[u.id] / avg_count), dt)
                     new = np.asarray(u.desd.bdc.unit_cost(
-                        np.clip(soc, u.desd.e_min, u.desd.e_max) / u.desd.e_max),
-                        dtype=float)
+                        np.clip(soc, u.desd.e_min, u.desd.e_max) / u.desd.e_max), dtype=float)
                     if not np.array_equal(new, units[u.id]):
-                        units[u.id] = new
-                        changed = True
+                        units[u.id], changed = new, True
                 if changed:  # objective moved; old bounds no longer comparable
                     best_q, best_cost, best = -np.inf, np.inf, None
 
             avg_d, avg_c, gb, gs, resid, cost = candidate()
             lam_tail = np.clip(lam_net_acc / avg_count, ps, pb)
-            # Any common price gives a valid lower bound. The clip to
-            # the price band removes the grid's huge penalty for tiny
-            # overshoots; the snap pins hours where the candidate says
-            # the grid trades, since there the price must sit on the
-            # corresponding tariff to be tight.
+            # The clip to the price band removes the grid's huge penalty
+            # for tiny overshoots; the snap pins hours where the
+            # candidate says the grid trades, since there the price must
+            # sit on the corresponding tariff to be tight.
             lam_snap = np.where(gb > 1e-6, pb, np.where(gs > 1e-6, ps, lam_tail))
-            q1 = _dual_value(lam_tail, netload, pb, ps, p_max, dt, locals_, units)
-            q2 = _dual_value(lam_snap, netload, pb, ps, p_max, dt, locals_, units)
-            best_q = max(best_q, q1, q2)
+            for lam_q in (lam_tail, lam_snap):
+                best_q = max(best_q, _dual_value(lam_q, netload, pb, ps, p_max, dt, locals_,
+                                                 units)[0])
             if cost < best_cost and resid <= BALANCE_TOL:
                 best_cost = cost
                 best = (avg_d, avg_c, gb, gs, resid)
@@ -360,10 +359,13 @@ def run_codes(model, rg=None, *, record_messages=False):
                     better = rebalance(avg_d, avg_c)
                 except SolverStall:
                     better = None
-                if (better is not None and better[5] < best_cost
-                        and better[4] <= BALANCE_TOL):
-                    best = better[:5]
-                    best_cost = better[5]
+                if better is not None and better[5] < best_cost and better[4] <= BALANCE_TOL:
+                    best, best_cost = better[:5], better[5]
+                    gap = best_cost - best_q
+                if all_constant and gap > tol_for(best_cost):
+                    probe_lam, best_q, steps = probe(
+                        lam.mean(axis=0) if probe_lam is None else probe_lam)
+                    probe_steps += steps
                     gap = best_cost - best_q
             trace.append((k, gap, best[4] if best else resid))
             if best is not None and gap <= tol_for(best_cost):
@@ -382,18 +384,15 @@ def run_codes(model, rg=None, *, record_messages=False):
     return CodesRun(
         outcome=_costed(active, gb, gs, discharge, charge, model.prices, dt),
         converged=converged, iterations=rounds_done, gap=float(best_cost - best_q),
-        trace=np.array(trace, dtype=float).reshape(-1, 3), messages=messages,
+        trace=np.array(trace, dtype=float).reshape(-1, 3), probe_steps=probe_steps,
+        messages=messages,
     )
 
 
 def convergence_trace(run):
     """Trace as named columns: round index, certified gap, patch residual."""
     t = run.trace
-    return {
-        "round": t[:, 0].astype(int),
-        "cost_gap": t[:, 1],
-        "balance_residual": t[:, 2],
-    }
+    return {"round": t[:, 0].astype(int), "cost_gap": t[:, 1], "balance_residual": t[:, 2]}
 
 
 def dump_message_log(run, path):
@@ -402,10 +401,6 @@ def dump_message_log(run, path):
         raise ValueError("run was made without record_messages=True")
     with open(path, "w") as fh:
         for msg in run.messages:
-            fh.write(json.dumps({
-                "sender": msg.sender,
-                "iteration": msg.iteration,
-                "dual_prices": msg.dual_prices.tolist(),
-                "mismatch": msg.mismatch.tolist(),
-            }, sort_keys=True))
-            fh.write("\n")
+            fh.write(json.dumps({"sender": msg.sender, "iteration": msg.iteration,
+                                 "dual_prices": msg.dual_prices.tolist(),
+                                 "mismatch": msg.mismatch.tolist()}, sort_keys=True) + "\n")

@@ -70,17 +70,21 @@ def _must_exist(path):
 def _loadtxt(path, skiprows=0):
     """Numeric rows of a CSV after its first skiprows lines, and those lines.
 
-    ``#`` starts a comment. A file with no data row (empty, header only,
-    or comments only) is refused here rather than read as an empty array.
+    ``#`` starts a comment. A line holding only whitespace or a comment
+    is skipped like an empty one. A file with no data row (empty, header
+    only, or comments only) is refused here rather than read as an empty
+    array.
     """
     try:
         with open(_must_exist(path)) as fh:
             lines = fh.readlines()
-        if not any(line.split("#", 1)[0].strip() for line in lines[skiprows:]):
+        rows = [line for line in lines[skiprows:] if line.split("#", 1)[0].strip()]
+        if not rows:
             raise InvariantViolation([f"{path}: no data rows"])
-        return np.loadtxt(lines[skiprows:], delimiter=",", ndmin=2, comments="#"), lines[:skiprows]
+        return np.loadtxt(rows, delimiter=",", ndmin=2, comments="#"), lines[:skiprows]
     except ValueError as exc:
-        raise InvariantViolation([f"{path}: {exc}"])
+        # numpy's advice to pass ``usecols`` names no option of this loader
+        raise InvariantViolation([f"{path}: {str(exc).split('; use `usecols`')[0]}"])
 
 
 def read_matrix(path):

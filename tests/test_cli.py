@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gridbargain import allocate, cli, codes, data_path, selfish_cost
 from gridbargain.bargaining import PREDICATES
+from gridbargain.fixtures import random_model, random_rg_profiles
 
 FAV_D = "-61.33,481.18,101.48,-23.34"
 FAV_JSOC = "438.68"
@@ -49,9 +50,8 @@ def _experiment(tmp_path, name="e.yaml", **overrides):
 
 
 def _bridge_experiment(tmp_path, **sections):
-    """Two-step storage-bridge instance (see test_codes): one period is
-    served entirely from storage, so tight tolerances cannot certify.
-    ``sections`` are added to the experiment file."""
+    """Two-step storage-bridge instance: one period is served entirely
+    from storage. ``sections`` are added to the experiment file."""
     (tmp_path / "p.csv").write_text("p_buy,p_sell\n10,2\n30,6\n")
     (tmp_path / "d.csv").write_text("u1,u2\n0,0\n0,5\n")
     (tmp_path / "m.yaml").write_text(yaml.safe_dump({
@@ -110,6 +110,19 @@ def test_timings_record_no_workers_when_everyone_is_honest(tmp_path, command):
                                              "seed": 0})
     assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 0
     assert _read(tmp_path / "o" / "timings.json")["mc_workers"] == 0
+
+
+@pytest.mark.parametrize("command, out_file", [("schedule", "schedule.json"),
+                                                ("report", "report.json")])
+def test_distributed_counts_are_logged_not_written(tmp_path, caplog, command, out_file):
+    """Rounds and probe steps go to the info log; the probe count stays out
+    of the output file."""
+    caplog.set_level("INFO", logger="gridbargain")
+    cfg = _experiment(tmp_path, solver="distributed")
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 0
+    assert "distributed run: 5 rounds, 11 probe steps" in caplog.messages
+    assert "probe" not in (out / out_file).read_text()
 
 
 def test_report_contents(tmp_path):
@@ -630,11 +643,39 @@ def test_exit_2_nan_in_scenario_pool(tmp_path):
     assert not (out / "forecast.json").exists()
 
 
+def _unconverged_experiment(tmp_path):
+    """Held-out draw 14 of seed 99 (see test_codes) without its generators,
+    as model, CSV and experiment files: 60 rounds leave a 4.17 c gap."""
+    rng = np.random.default_rng(99)
+    for _ in range(15):
+        m = random_model(rng, r_max=6, T=24)
+        random_rg_profiles(m, rng)
+
+    def write_csv(name, header, columns):
+        rows = [",".join(header)] + [",".join(repr(float(v)) for v in row)
+                                     for row in np.column_stack(columns)]
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+
+    write_csv("p.csv", ["p_buy", "p_sell"], [m.prices.buy, m.prices.sell])
+    write_csv("d.csv", [u.id for u in m.users], list(m.demands))
+    users = []
+    for u in m.users:
+        d = u.desd
+        users.append({"id": u.id} if d is None else {"id": u.id, "desd": {
+            "e0": d.e0, "e_min": d.e_min, "e_max": d.e_max, "p_b_max": d.p_b_max,
+            "kappa": d.kappa, "bdc": d.bdc.c_d}})
+    (tmp_path / "m.yaml").write_text(yaml.safe_dump({
+        "horizon": {"steps": 24, "dt": 1.0}, "prices": "p.csv", "demands": "d.csv",
+        "users": users}))
+    path = tmp_path / "e.yaml"
+    path.write_text(yaml.safe_dump({"model": "m.yaml", "solver": "distributed"}))
+    return str(path)
+
+
 def test_exit_3_unconverged_distributed_schedule(tmp_path, monkeypatch):
-    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20), ("COST_TOL_ABS", 1e-12),
-                        ("COST_TOL_REL", 1e-15)):
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20)):
         monkeypatch.setattr(codes, name, value)
-    cfg = _bridge_experiment(tmp_path)
+    cfg = _unconverged_experiment(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["schedule", cfg, "--out", str(out)]) == 3
     rep = _read(out / "schedule.json")  # diagnostics still land on disk

@@ -40,9 +40,10 @@ def test_reference_instance_matches_oracle(reference_run, reference_model, favor
 
 
 def test_reference_instance_stops_at_the_first_check(reference_run):
-    """One rebalance from the first check's candidate closes the gap."""
+    """One rebalance from the first check's candidate and the price probe
+    close the gap."""
     model, rg, run = reference_run
-    assert run.converged and run.iterations == codes.CHECK_EVERY == 25
+    assert run.converged and run.iterations == codes.FIRST_CHECK == 5
     oracle = solve_social(model, rg)
     assert abs(run.outcome.social_cost - oracle.social_cost) <= 1e-6
 
@@ -135,46 +136,35 @@ def test_trace_shape_and_convergence(reference_run):
     assert run.iterations < 10_000  # empirical bring-up bound
 
 
-def storage_bridge_model():
-    """Two steps, one battery: the second step is served entirely from
-    storage, so its bus price sits strictly between the two tariffs and
-    only the slow price consensus can pin it down."""
-    from gridbargain.model import (MicrogridModel, Horizon, UserSpec,
-                                   DesdParams, ConstantBdc)
-    return validate_model(MicrogridModel(
-        horizon=Horizon(steps=2, dt=1.0),
-        users=(
-            UserSpec("u1", desd=DesdParams(e0=0.0, e_min=0.0, e_max=12.0,
-                                           p_b_max=10.0, kappa=0.9,
-                                           bdc=ConstantBdc(1.0))),
-            UserSpec("u2"),
-        ),
-        demands=np.array([[0.0, 0.0], [0.0, 5.0]]),
-        prices=PriceProfile(buy=np.array([10.0, 30.0]),
-                            sell=np.array([2.0, 6.0])),
-    ))
+def held_out_draws(count):
+    """The first ``count`` draws of the held-out seed 99, with generation."""
+    rng = np.random.default_rng(99)
+    draws = []
+    for _ in range(count):
+        m = random_model(rng, r_max=6, T=24)
+        draws.append((m, random_rg_profiles(m, rng)))
+    return draws
 
 
 def test_soft_nonconvergence_returns_best_iterate(monkeypatch):
-    model = storage_bridge_model()
-    oracle = solve_social(model)
-    # sanity: the instance itself is solvable at the stock tolerance
-    assert run_codes(model).converged
-    # under a near-zero tolerance a 60-round budget cannot close the
-    # certificate: the run must stop without raising, flag itself, and
-    # still hand back its best iterate
-    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20), ("COST_TOL_ABS", 1e-12),
-                        ("COST_TOL_REL", 1e-15)):
+    """Held-out draw 14 does not certify even in MAX_ROUNDS; a 60-round
+    budget stops it with its certified gap at 4.29 c. The run must stop
+    without raising, flag itself, and still hand back its best iterate."""
+    model, rg = held_out_draws(15)[14]
+    oracle = solve_social(model, rg)
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20)):
         monkeypatch.setattr(codes, name, value)
-    run = run_codes(model)
+    run = run_codes(model, rg)
     assert not run.converged
     assert run.iterations == 60
     trace = convergence_trace(run)
-    assert len(trace["round"]) == 3  # one row per check, budget capped
+    # one row per check, budget capped
+    assert trace["round"].tolist() == [codes.FIRST_CHECK, 20, 40, 60]
     assert np.isfinite(run.gap) and run.gap > 1.0
-    # the iterate is good even though the dual bound is not
+    # the iterate is good even though the dual bound is not: 1.37 c above
+    # the pooled optimum, well inside the gap it certifies
     assert run.outcome.social_cost >= oracle.social_cost - 1e-9
-    assert run.outcome.social_cost <= oracle.social_cost + 1.0
+    assert run.outcome.social_cost <= oracle.social_cost + 1.5
 
 
 def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
@@ -214,6 +204,77 @@ def test_relinearization_is_deterministic_and_feasible(soc_dependent, monkeypatc
     _assert_feasible(model, rg, a)
     assert a.outcome.social_cost == pytest.approx(
         a.outcome.trading_cost + sum(a.outcome.bdc_costs.values()), abs=1e-6)
+
+
+def _criterion_4_family(reference_model, favorable_rg):
+    rng = np.random.default_rng(2026)
+    cases = [(reference_model, favorable_rg)]
+    for _ in range(20):
+        m = random_model(rng, r_max=6, T=24)
+        cases.append((m, random_rg_profiles(m, rng)))
+    return cases
+
+
+def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
+    """Over the criterion-4 family and held-out draws 0-13, no dual value
+    the certificate takes, probe steps included, exceeds J_soc, and no
+    converged run costs more than its certified gap above J_soc. Every
+    run closes within 500 rounds."""
+    values = []
+
+    def record(*args, _real=codes._dual_value):
+        out = _real(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(codes, "_dual_value", record)
+    probed = 0
+    for m, rg in _criterion_4_family(reference_model, favorable_rg) + held_out_draws(14):
+        values.clear()
+        run = run_codes(m, rg)
+        j_soc = solve_social(m, rg).social_cost
+        # two fixed bounds per check, one dual value per probe step
+        assert len(values) == 2 * len(run.trace) + run.probe_steps
+        assert max(values) <= j_soc + 1e-9
+        assert run.converged and run.iterations <= 500
+        assert run.outcome.social_cost - j_soc <= run.gap + 1e-9
+        probed += run.probe_steps > 0
+    assert probed >= 15  # 19 of the 35 runs probe
+
+
+def test_probed_run_is_deterministic_bit_for_bit():
+    """Criterion-4 draw #3 probes at every check of its 200 rounds."""
+    rng = np.random.default_rng(2026)
+    for _ in range(3):
+        m = random_model(rng, r_max=6, T=24)
+        rg = random_rg_profiles(m, rng)
+    a = run_codes(m, rg, record_messages=True)
+    b = run_codes(m, rg, record_messages=True)
+    assert a.converged and a.probe_steps > 100 and len(a.trace) > 5
+    assert (a.iterations, a.gap, a.probe_steps) == (b.iterations, b.gap, b.probe_steps)
+    np.testing.assert_array_equal(a.trace, b.trace)
+    da, db = a.outcome.decision, b.outcome.decision
+    np.testing.assert_array_equal(da.grid_buy, db.grid_buy)
+    np.testing.assert_array_equal(da.grid_sell, db.grid_sell)
+    for uid in da.discharge:
+        np.testing.assert_array_equal(da.discharge[uid], db.discharge[uid])
+        np.testing.assert_array_equal(da.charge[uid], db.charge[uid])
+    for ma, mb in zip(a.messages, b.messages, strict=True):
+        np.testing.assert_array_equal(ma.dual_prices, mb.dual_prices)
+        np.testing.assert_array_equal(ma.mismatch, mb.mismatch)
+
+
+def test_soc_dependent_run_never_probes(soc_dependent, monkeypatch):
+    """A SOC-dependent run keeps its checks every CHECK_EVERY rounds and
+    takes no probe step: its certificate is not a valid bound yet."""
+    rng = np.random.default_rng(2026)
+    model = soc_dependent(random_model(rng, r_max=6, T=24))
+    rg = random_rg_profiles(model, rng)
+    monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
+    run = run_codes(model, rg)
+    assert not run.converged and run.probe_steps == 0
+    rounds = convergence_trace(run)["round"]
+    assert rounds.tolist() == list(range(codes.CHECK_EVERY, 301, codes.CHECK_EVERY))
 
 
 def test_random_instances_match_oracle():
@@ -274,7 +335,7 @@ def test_storage_dp_matches_highs(program):
     discharge, charge = local.solve(unit, lam)
     x = np.concatenate([discharge, charge])
     assert abs(float(c @ x) - oracle.fun) <= tol
-    assert abs(local.value(unit, lam) - oracle.fun) <= tol
+    assert abs(local.priced(unit, lam)[0] - oracle.fun) <= tol
     assert np.all(A_ub @ x <= b_ub + 1e-9)
     assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
 
@@ -295,7 +356,7 @@ def test_local_step_is_the_two_segment_dp_bit_for_bit(program):
     discharge, charge = local.solve(unit, lam)
     assert np.array_equal(discharge, np.array(x) * (kappa / dt))
     assert np.array_equal(charge, np.array(y) / (kappa * dt))
-    assert local.value(unit, lam) == two_segment_storage_dp(*args, False)[0] == value
+    assert local.priced(unit, lam)[0] == two_segment_storage_dp(*args, False)[0] == value
 
 
 def test_storage_dp_bridge_by_hand():
@@ -314,7 +375,7 @@ def test_storage_dp_bridge_by_hand():
     discharge, charge = local.solve(unit, lam)
     np.testing.assert_allclose(discharge, [0.0, 8.1], atol=1e-12)
     np.testing.assert_allclose(charge, [10.0, 0.0], atol=1e-12)
-    assert local.value(unit, lam) == pytest.approx(11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
+    assert local.priced(unit, lam)[0] == pytest.approx(11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
 
 
 def test_storage_dp_ties_end_at_higher_soc():
@@ -334,7 +395,7 @@ def test_storage_dp_rejects_non_finite_prices():
         with pytest.raises(SolverStall):
             local.solve(np.zeros(2), lam)
         with pytest.raises(SolverStall):
-            local.value(np.zeros(2), lam)
+            local.priced(np.zeros(2), lam)
 
 
 def test_rebalance_step_without_a_schedule_stalls():

@@ -235,6 +235,27 @@ def test_read_table_header_and_shape(tmp_path):
     np.testing.assert_array_equal(arr, [[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("body", ["1,2\n3,4\n  \n", "1,2\n \t \n3,4\n", "1,2\n  # note\n3,4\n"])
+def test_whitespace_only_lines_are_skipped(tmp_path, body):
+    """A line of spaces or tabs is skipped like an empty line, after the
+    data rows and between them."""
+    p = tmp_path / "t.csv"
+    p.write_text(body)
+    np.testing.assert_array_equal(read_matrix(str(p)), [[1, 2], [3, 4]])
+    p.write_text("a,b\n" + body)
+    cols, arr = read_table(str(p))
+    assert cols == ["a", "b"]
+    np.testing.assert_array_equal(arr, [[1, 2], [3, 4]])
+
+
+def test_ragged_rows_name_no_numpy_argument(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1,2\n3\n")
+    with pytest.raises(InvariantViolation, match="columns changed") as refusal:
+        read_matrix(str(p))
+    assert "usecols" not in str(refusal.value)
+
+
 def test_read_table_column_mismatch(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b,c\n1,2\n")
