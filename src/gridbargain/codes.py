@@ -18,35 +18,40 @@ grid): ``lam``, ``M`` and the own imbalances ``R``. A round is:
    by STEP_A/(k+STEP_B) times the tracker; trackers follow
    M = W M + R - R_old, so their sum is the true mismatch.
 
-Tail averages (restarted at geometrically growing rounds) smooth the
-price oscillation. At each check the candidate is the averaged user
-schedules with the grid absorbing the leftover imbalance; its cost minus
-the best dual value q(lam) seen so far is a certified gap, and the run
-stops once that meets the cost tolerance. Any common price gives a valid
-q, at one exact DP per user. While the gap is open, a round-robin
-rebalance lets each user in turn re-solve from the check's candidate
-against the true tariff together with the grid (one battery plus the
-grid, the same DP); it is kept when it beats the best schedule.
+Tail averages of the user schedules (restarted at geometrically growing
+rounds) smooth the price oscillation; they feed only the candidate. The
+first check comes at round FIRST_CHECK and later ones every CHECK_EVERY
+rounds. At each check the candidate is the averaged user schedules with
+the grid absorbing the leftover imbalance; its cost minus the best dual
+value q(lam) seen so far is a certified gap, and the run stops once that
+meets the cost tolerance. Any common price gives a valid q, at one exact
+DP per user. While the gap is open, a round-robin rebalance lets each
+user in turn re-solve from the check's candidate against the true tariff
+together with the grid (one battery plus the grid, the same DP); it is
+kept when it beats the best schedule.
 
-When every battery has a constant cost, the first check comes at round
-FIRST_CHECK and later ones every CHECK_EVERY rounds. A check still open
-after the rebalance then takes up to PROBE_STEPS projected Polyak steps
-(Polyak 1987) on the bus price: lam_t is pinned at the buy price where
-the best schedule buys and at the sell price where it sells, and free
-in [sell, buy] elsewhere; it moves by POLYAK_STEP (best cost - q) g/|g|^2,
+A check still open after the rebalance then takes up to PROBE_STEPS
+projected Polyak steps (Polyak 1987) on the bus price, the certificate's
+only dual values: lam_t is pinned at the buy price where the best
+schedule buys and at the sell price where it sells, and free in
+[sell, buy] elsewhere; it moves by POLYAK_STEP (best cost - q) g/|g|^2,
 g the mismatch at lam on the free hours. The first probe starts from the
 mean price copy, later ones where the last stopped. Like the rest of the
 certificate the probe is central; deployed, each step is a round of
 local solves plus a network sum, so ``CodesRun.probe_steps`` counts them.
-SOC-dependent unit costs are instead re-looked-up on the averaged
-trajectories every RELINEARIZE_EVERY rounds, which restarts the
-certificate; such runs check every CHECK_EVERY rounds and never probe.
+
+Unit costs are re-looked-up on the averaged trajectories every
+RELINEARIZE_EVERY rounds; when a SOC-dependent cost moves, the
+certificate restarts (a constant cost looks up the same profile). A
+SOC-dependent gap therefore bounds the objective at the unit costs in
+force at the closing check, not the true cost (ROADMAP item 8).
 
 A final per-user cleanup re-times each storage schedule at fixed net
 injection (the DP with the grid rated 0 kW), so a run calls no LP
 solver. A run ends at its closing check, or at MAX_ROUNDS; each round
 every agent puts one message on the bus, (r+1) k messages in k rounds.
-A given (model, rg) gives the same result bit for bit.
+A run in which no check holds a schedule within BALANCE_TOL raises
+SolverStall. A given (model, rg) gives the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import numpy as np
 
 from .consensus import metropolis_weights
 from .errors import SolverStall
-from .model import ConstantBdc, soc_trajectory, validate_model
+from .model import soc_trajectory, validate_model
 from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
                          _rg_profiles, _storage_dp, trading_cost)
 # scheduling's lazy linprog, kept for bench/spans.py and the no-LP test (ROADMAP item 1).
@@ -72,11 +77,11 @@ GRID_AGENT = "grid"
 STEP_A, STEP_B = 1.0, 10.0  # diminishing price step STEP_A / (k + STEP_B)
 GRID_RAMP = 4.0  # grid damping: cents of price incentive per kW of response per round
 LAZY_TOL = 0.02  # price movement (cents/kWh) that triggers a fresh user solve
-RELINEARIZE_EVERY = 100  # rounds between re-lookups of SOC-dependent unit costs
+RELINEARIZE_EVERY = 100  # rounds between unit-cost re-lookups
 BALANCE_TOL = 1e-6  # kW of imbalance the grid patch may leave
 MAX_ROUNDS = 6000  # round budget; running out is reported as converged=False
 CHECK_EVERY = 25  # rounds between certificate checks
-FIRST_CHECK = 5  # round of the first check when every battery has a constant cost
+FIRST_CHECK = 5  # round of the first check
 PROBE_STEPS, POLYAK_STEP = 15, 1.5  # price probe per open check: step budget, step factor
 COST_TOL_ABS, COST_TOL_REL = 0.1, 1e-3  # stop at a certified gap <= max(ABS c, REL |cost|)
 
@@ -135,7 +140,7 @@ class _UserLocal:
 
     def priced(self, unit_cost, lam):
         """Optimal cost against lam, and the (discharge, charge) attaining it."""
-        v, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args, True)
+        v, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args)
         kappa, dt = self.desd.kappa, self.dt
         return v, np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
 
@@ -184,8 +189,9 @@ def run_codes(model, rg=None, *, record_messages=False):
     """Distributed social schedule; see the module docstring.
 
     Returns a CodesRun whose outcome mirrors ``solve_social``. Running
-    out of rounds is reported softly (converged=False, best candidate
-    kept) so experiments can log it rather than die. record_messages
+    out of rounds is reported softly (converged=False, best schedule
+    kept) so experiments can log it rather than die; without a balanced
+    schedule to keep, the run raises SolverStall. record_messages
     keeps every message put on the bus in ``CodesRun.messages``.
     """
     model = validate_model(model)
@@ -203,7 +209,6 @@ def run_codes(model, rg=None, *, record_messages=False):
     locals_ = {u.id: _UserLocal(u.desd, T, dt, p_max) for u in active}
     units = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
              for u in active}
-    all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
     senders = [u.id for u in model.users] + [GRID_AGENT]
 
     # Row i is user i and row r the grid: price copies lam, mismatch
@@ -231,7 +236,6 @@ def run_codes(model, rg=None, *, record_messages=False):
     M = R.copy()
 
     messages = [] if record_messages else None
-    lam_net_acc = lam.mean(axis=0)  # tail sum of the network price
     best_q, best_cost = -np.inf, np.inf
     best = None  # (avg schedules, patch) snapshot at best_cost
     trace = []
@@ -313,7 +317,6 @@ def run_codes(model, rg=None, *, record_messages=False):
             next_restart *= 2
             acc = {uid: np.zeros((2, T)) for uid in rows}
             avg_count = 0
-            lam_net_acc = np.zeros(T)
 
         buy = np.clip(buy + (lam[r] - pb) / GRID_RAMP, 0.0, p_max)
         sell = np.clip(sell + (ps - lam[r]) / GRID_RAMP, 0.0, p_max)
@@ -326,10 +329,9 @@ def run_codes(model, rg=None, *, record_messages=False):
             acc[uid] += sched[uid]
         avg_count += 1
         M = W @ M + R - R_old
-        lam_net_acc += lam.mean(axis=0)
 
-        if k % CHECK_EVERY == 0 or k == MAX_ROUNDS or (all_constant and k == FIRST_CHECK):
-            if not all_constant and k % RELINEARIZE_EVERY == 0:
+        if k % CHECK_EVERY == 0 or k == MAX_ROUNDS or k == FIRST_CHECK:
+            if k % RELINEARIZE_EVERY == 0:
                 changed = False
                 for u in active:
                     soc = soc_trajectory(u.desd, *(acc[u.id] / avg_count), dt)
@@ -341,15 +343,6 @@ def run_codes(model, rg=None, *, record_messages=False):
                     best_q, best_cost, best = -np.inf, np.inf, None
 
             avg_d, avg_c, gb, gs, resid, cost = candidate()
-            lam_tail = np.clip(lam_net_acc / avg_count, ps, pb)
-            # The clip to the price band removes the grid's huge penalty
-            # for tiny overshoots; the snap pins hours where the
-            # candidate says the grid trades, since there the price must
-            # sit on the corresponding tariff to be tight.
-            lam_snap = np.where(gb > 1e-6, pb, np.where(gs > 1e-6, ps, lam_tail))
-            for lam_q in (lam_tail, lam_snap):
-                best_q = max(best_q, _dual_value(lam_q, netload, pb, ps, p_max, dt, locals_,
-                                                 units)[0])
             if cost < best_cost and resid <= BALANCE_TOL:
                 best_cost = cost
                 best = (avg_d, avg_c, gb, gs, resid)
@@ -362,7 +355,7 @@ def run_codes(model, rg=None, *, record_messages=False):
                 if better is not None and better[5] < best_cost and better[4] <= BALANCE_TOL:
                     best, best_cost = better[:5], better[5]
                     gap = best_cost - best_q
-                if all_constant and gap > tol_for(best_cost):
+                if gap > tol_for(best_cost):
                     probe_lam, best_q, steps = probe(
                         lam.mean(axis=0) if probe_lam is None else probe_lam)
                     probe_steps += steps
@@ -372,9 +365,9 @@ def run_codes(model, rg=None, *, record_messages=False):
                 converged = True
                 break
 
-    if best is None:  # never had a candidate within residual tolerance
-        avg_d, avg_c, gb, gs, resid, cost = candidate()
-        best, best_cost = (avg_d, avg_c, gb, gs, resid), cost
+    if best is None:
+        raise SolverStall(f"distributed schedule: no check in {rounds_done} rounds held a "
+                          f"schedule within {BALANCE_TOL} kW of balance")
 
     avg_d, avg_c, gb, gs, resid = best
     discharge, charge = {}, {}

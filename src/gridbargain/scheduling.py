@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import Infeasible, InvariantViolation, LengthMismatch, SolverStall
-from .model import ConstantBdc, soc_trajectory, validate_model
+from .model import soc_trajectory, validate_model
 from .rg_forecast import RgForecastResult
 
 __all__ = [
@@ -290,7 +290,7 @@ _DP_TOL = 1e-9
 _BURN_TOL = 1e-12
 
 
-def _storage_dp(steps, span, start, recover):
+def _storage_dp(steps, span, start):
     """Exact single-battery program in energy units, by a backward DP.
 
     The state is the SOC offset above e_min, kept in [0, span]; it
@@ -314,9 +314,9 @@ def _storage_dp(steps, span, start, recover):
     distributed solver's round counts depend on which of several
     optimal schedules a solve returns.
 
-    Returns W_0(start), None when no schedule is feasible, and with
-    ``recover`` the per-step drain and fill (v_t = drain - fill) of one
-    optimal schedule (None otherwise).
+    Returns W_0(start) and the per-step drain and fill (v_t = drain -
+    fill) of one optimal schedule; all three are None when no schedule
+    is feasible.
     """
     slopes, lens, tags = [0.0], [span], [_W]
     w_lo, w_hi = 0.0, span
@@ -329,8 +329,7 @@ def _storage_dp(steps, span, start, recover):
             lens.insert(i, length)
             tags.insert(i, tag)
         left = w_lo + lo
-        if recover:
-            merged.append((left, lo, w_lo, w_hi, lens, tags))
+        merged.append((left, lo, w_lo, w_hi, lens, tags))
         # The merge starts at offset ``left``, with the step at lo and
         # W_t at the left end of its domain; drop what lies below 0 and
         # keep what lies below span.
@@ -374,8 +373,6 @@ def _storage_dp(steps, span, start, recover):
             break
         val += slope * length
         pos -= length
-    if not recover:
-        return val, None, None
 
     # Forward pass: walking a merged list up to the current SOC splits
     # that point between this hour (h segments) and the rest (W).
@@ -468,7 +465,7 @@ def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt):
              for l0, h0, s, n, g in zip(lo.tolist(), h_lo.tolist(), slope.tolist(),
                                         length.tolist(), tag.tolist())]
 
-    val, drain, fill = _storage_dp(steps, desd.e_max - desd.e_min, desd.e0 - desd.e_min, True)
+    val, drain, fill = _storage_dp(steps, desd.e_max - desd.e_min, desd.e0 - desd.e_min)
     if val is None:
         return None
     v = np.array(drain) - np.array(fill)
@@ -520,8 +517,6 @@ def _pooled(users, net, prices, p_g_max, T, dt, what):
 
     unit = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
             for u in active}
-    all_constant = all(isinstance(u.desd.bdc, ConstantBdc) for u in active)
-
     solved = set()  # the unit-cost profiles solved so far, bitwise
     prev_cost = None
     best = None
@@ -538,8 +533,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, what):
         # the linearization cycles instead of settling
         if best is None or cost < best.social_cost:
             best = out
-        if all_constant or (prev_cost is not None
-                            and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS):
+        if prev_cost is not None and abs(cost - prev_cost) < CONVERGED_DELTA_CENTS:
             break
         prev_cost = cost
         unit = {u.id: np.asarray(u.desd.bdc.unit_cost(out.soc[u.id] / u.desd.e_max),

@@ -683,6 +683,21 @@ def test_exit_3_unconverged_distributed_schedule(tmp_path, monkeypatch):
     assert rep["certified_gap"] > 1.0
 
 
+def test_exit_3_distributed_schedule_without_a_balanced_check(tmp_path, monkeypatch):
+    """The shipped model with its grid rated 3 kW: no check of the
+    distributed run holds a balanced schedule, so it stalls and no
+    schedule.json claims a J_soc for an unbalanced candidate."""
+    monkeypatch.setattr(codes, "MAX_ROUNDS", 60)
+    model = yaml.safe_load(pathlib.Path(data_path("model.yaml")).read_text())
+    model.update(prices=data_path("prices.csv"), demands=data_path("demands.csv"),
+                 grid={"p_g_max": 3.0})
+    (tmp_path / "m.yaml").write_text(yaml.safe_dump(model))
+    cfg = _experiment(tmp_path, model=str(tmp_path / "m.yaml"))
+    out = tmp_path / "out"
+    assert cli.main(["schedule", cfg, "--solver", "distributed", "--out", str(out)]) == 3
+    assert not (out / "schedule.json").exists()
+
+
 def test_exit_4_gamma_exceeds_budget(tmp_path):
     out = tmp_path / "out"
     rc = cli.main(["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC,

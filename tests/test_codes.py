@@ -49,13 +49,15 @@ def test_reference_instance_stops_at_the_first_check(reference_run):
 
 
 def test_rebalance_starts_from_the_candidate():
-    """Criterion-4 draw #1 closes at round 225 when every open check
+    """Criterion-4 draw #6 closes at round 100 when every open check
     rebalances its own candidate; starting from the best schedule so
-    far instead would take 475 rounds."""
+    far instead would take 625 rounds."""
     rng = np.random.default_rng(2026)
-    m = random_model(rng, r_max=6, T=24)
-    run = run_codes(m, random_rg_profiles(m, rng))
-    assert run.converged and run.iterations <= 225
+    for _ in range(6):
+        m = random_model(rng, r_max=6, T=24)
+        rg = random_rg_profiles(m, rng)
+    run = run_codes(m, rg)
+    assert run.converged and run.iterations <= 100
 
 
 def _assert_feasible(model, profiles, run):
@@ -167,6 +169,18 @@ def test_soft_nonconvergence_returns_best_iterate(monkeypatch):
     assert run.outcome.social_cost <= oracle.social_cost + 1.5
 
 
+def test_run_without_a_balanced_schedule_stalls(monkeypatch, favorable_rg):
+    """With the grid rated 3 kW the pooled program is feasible, but no
+    check of the reference instance holds a schedule within BALANCE_TOL;
+    rather than hand back an unbalanced candidate that costs less than
+    the pooled optimum, the run raises SolverStall."""
+    model = four_user_model(p_g_max=3.0)
+    assert np.isfinite(solve_social(model, favorable_rg).social_cost)
+    monkeypatch.setattr(codes, "MAX_ROUNDS", 60)
+    with pytest.raises(SolverStall, match="balance"):
+        run_codes(model, favorable_rg)
+
+
 def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
     run = run_codes(reference_model, favorable_rg, record_messages=True)
     allowed = {"sender", "iteration", "dual_prices", "mismatch"}
@@ -185,22 +199,29 @@ def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
 
 
 def test_relinearization_is_deterministic_and_feasible(soc_dependent, monkeypatch):
-    """SOC-dependent unit costs are re-looked-up every 100 rounds; a
-    300-round budget reaches the re-lookup three times, and this draw
-    stops there without a certificate."""
+    """SOC-dependent unit costs are re-looked-up every 100 rounds; the
+    fifth draw closes at round 150, past the re-lookup at round 100.
+    Its message log, like the rest of the run, is the same bit for bit."""
     rng = np.random.default_rng(7)
-    model = soc_dependent(random_model(rng, r_max=5, T=24))
-    rg = random_rg_profiles(model, rng)
+    for _ in range(5):
+        model = soc_dependent(random_model(rng, r_max=5, T=24))
+        rg = random_rg_profiles(model, rng)
     monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
-    a, b = run_codes(model, rg), run_codes(model, rg)
-    assert not a.converged and a.iterations == 300
-    assert a.gap == b.gap
+    a = run_codes(model, rg, record_messages=True)
+    b = run_codes(model, rg, record_messages=True)
+    assert a.converged and a.iterations > codes.RELINEARIZE_EVERY
+    assert (a.iterations, a.gap, a.probe_steps) == (b.iterations, b.gap, b.probe_steps)
     np.testing.assert_array_equal(a.trace, b.trace)
     for uid in a.outcome.decision.discharge:
         np.testing.assert_array_equal(a.outcome.decision.discharge[uid],
                                       b.outcome.decision.discharge[uid])
         np.testing.assert_array_equal(a.outcome.decision.charge[uid],
                                       b.outcome.decision.charge[uid])
+    assert len(a.messages) == (model.n_users + 1) * a.iterations
+    for ma, mb in zip(a.messages, b.messages, strict=True):
+        assert (ma.sender, ma.iteration) == (mb.sender, mb.iteration)
+        np.testing.assert_array_equal(ma.dual_prices, mb.dual_prices)
+        np.testing.assert_array_equal(ma.mismatch, mb.mismatch)
     _assert_feasible(model, rg, a)
     assert a.outcome.social_cost == pytest.approx(
         a.outcome.trading_cost + sum(a.outcome.bdc_costs.values()), abs=1e-6)
@@ -216,8 +237,8 @@ def _criterion_4_family(reference_model, favorable_rg):
 
 
 def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
-    """Over the criterion-4 family and held-out draws 0-13, no dual value
-    the certificate takes, probe steps included, exceeds J_soc, and no
+    """Over the criterion-4 family and held-out draws 0-13, every run
+    probes, no dual value the certificate takes exceeds J_soc, and no
     converged run costs more than its certified gap above J_soc. Every
     run closes within 500 rounds."""
     values = []
@@ -228,18 +249,15 @@ def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
         return out
 
     monkeypatch.setattr(codes, "_dual_value", record)
-    probed = 0
     for m, rg in _criterion_4_family(reference_model, favorable_rg) + held_out_draws(14):
         values.clear()
         run = run_codes(m, rg)
         j_soc = solve_social(m, rg).social_cost
-        # two fixed bounds per check, one dual value per probe step
-        assert len(values) == 2 * len(run.trace) + run.probe_steps
+        # the probe's steps are the certificate's only dual values
+        assert run.probe_steps > 0 and len(values) == run.probe_steps
         assert max(values) <= j_soc + 1e-9
         assert run.converged and run.iterations <= 500
         assert run.outcome.social_cost - j_soc <= run.gap + 1e-9
-        probed += run.probe_steps > 0
-    assert probed >= 15  # 19 of the 35 runs probe
 
 
 def test_probed_run_is_deterministic_bit_for_bit():
@@ -264,17 +282,16 @@ def test_probed_run_is_deterministic_bit_for_bit():
         np.testing.assert_array_equal(ma.mismatch, mb.mismatch)
 
 
-def test_soc_dependent_run_never_probes(soc_dependent, monkeypatch):
-    """A SOC-dependent run keeps its checks every CHECK_EVERY rounds and
-    takes no probe step: its certificate is not a valid bound yet."""
+def test_soc_dependent_run_follows_the_one_check_schedule(soc_dependent, monkeypatch):
+    """A SOC-dependent run checks as every run does: first at round
+    FIRST_CHECK, and an open check probes the price."""
     rng = np.random.default_rng(2026)
     model = soc_dependent(random_model(rng, r_max=6, T=24))
     rg = random_rg_profiles(model, rng)
     monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
     run = run_codes(model, rg)
-    assert not run.converged and run.probe_steps == 0
-    rounds = convergence_trace(run)["round"]
-    assert rounds.tolist() == list(range(codes.CHECK_EVERY, 301, codes.CHECK_EVERY))
+    assert convergence_trace(run)["round"][0] == codes.FIRST_CHECK
+    assert run.probe_steps > 0
 
 
 def test_random_instances_match_oracle():
