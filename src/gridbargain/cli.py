@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -111,10 +112,7 @@ def _load_bundle(args):
     """Experiment config plus model, pools and forecast profiles."""
     config = io.load_experiment(args.config)
     if args.seed is not None:
-        config = io.ExperimentConfig(**{
-            **{f: getattr(config, f) for f in config.__dataclass_fields__},
-            "seed": int(args.seed), "mc_seed": int(args.seed),
-        })
+        config = replace(config, seed=int(args.seed), mc_seed=int(args.seed))
     model = io.load_model(config.model_path)
     _check_users(config, model)
     pools = io.build_pools(config)

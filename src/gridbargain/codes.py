@@ -8,9 +8,9 @@ supply-demand mismatch, held as rows of (r+1, T) arrays (row r the
 grid): ``lam``, ``M`` and the own imbalances ``R``. A round is:
 
 1. local step: each user re-solves its storage program against its
-   price copy, exactly, by the DP of ``scheduling`` (lazily: only once
-   the copy has moved by LAZY_TOL; ties end the hour at the higher state
-   of charge, which the round counts depend on). The grid ramps its
+   price copy, exactly, by ``scheduling._priced_battery`` (lazily: only
+   once the copy has moved by LAZY_TOL; ties end the hour at the higher
+   state of charge, which the round counts depend on). The grid ramps its
    exchange toward profitability, damped by GRID_RAMP.
 2. exchange: the agent sends neighbors its price copy and mismatch
    tracker, nothing else.
@@ -24,11 +24,12 @@ first check comes at round FIRST_CHECK and later ones every CHECK_EVERY
 rounds. At each check the candidate is the averaged user schedules with
 the grid absorbing the leftover imbalance; its cost minus the best dual
 value q(lam) seen so far is a certified gap, and the run stops once that
-meets the cost tolerance. Any common price gives a valid q, at one exact
-DP per user. While the gap is open, a round-robin rebalance lets each
-user in turn re-solve from the check's candidate against the true tariff
-together with the grid (one battery plus the grid, the same DP); it is
-kept when it beats the best schedule.
+meets the cost tolerance. Any common price gives a valid q,
+``scheduling._dual_value``: one local step per user. While the gap is
+open, a round-robin rebalance lets each user in turn re-solve from the
+check's candidate against the true tariff together with the grid
+(``scheduling._battery_and_grid``); it is kept when it beats the best
+schedule.
 
 A check still open after the rebalance then takes up to PROBE_STEPS
 projected Polyak steps (Polyak 1987) on the bus price, the certificate's
@@ -47,9 +48,10 @@ SOC-dependent gap therefore bounds the objective at the unit costs in
 force at the closing check, not the true cost (ROADMAP item 8).
 
 A final per-user cleanup re-times each storage schedule at fixed net
-injection (the DP with the grid rated 0 kW), so a run calls no LP
-solver. A run ends at its closing check, or at MAX_ROUNDS; each round
-every agent puts one message on the bus, (r+1) k messages in k rounds.
+injection (``_battery_and_grid`` with the grid rated 0 kW), so a run
+calls no LP solver. A run ends at its closing check, or at MAX_ROUNDS;
+each round every agent puts one message on the bus, (r+1) k messages in
+k rounds.
 A run in which no check holds a schedule within BALANCE_TOL raises
 SolverStall. A given (model, rg) gives the same result bit for bit.
 """
@@ -64,8 +66,8 @@ import numpy as np
 from .consensus import metropolis_weights
 from .errors import SolverStall
 from .model import soc_trajectory, validate_model
-from .scheduling import (_DRAIN, _FILL, SocialScheduleOutcome, _battery_and_grid, _costed,
-                         _rg_profiles, _storage_dp, trading_cost)
+from .scheduling import (SocialScheduleOutcome, _battery_and_grid, _costed, _dual_value,
+                         _priced_battery, _rg_profiles, trading_cost)
 # scheduling's lazy linprog, kept for bench/spans.py and the no-LP test (ROADMAP item 1).
 from .scheduling import linprog  # noqa: F401
 
@@ -109,82 +111,6 @@ class CodesRun:
     messages: list | None = None
 
 
-class _UserLocal:
-    """One active user's storage subproblem, solved exactly when asked.
-
-    min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
-    polytope, by ``scheduling._storage_dp`` in energy units with two
-    segments per step: fill less at -beta per kWh (y = kappa charge dt up
-    to Y) and drain more at alpha (x = discharge dt / kappa up to X). The
-    rebalance and the cleanup are the DP's battery-plus-grid program.
-    """
-
-    def __init__(self, desd, T, dt, p_max):
-        self.desd, self.T, self.dt, self.p_max = desd, T, dt, p_max
-        kappa = desd.kappa
-        self._X, self._Y = desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt
-        self._dp_args = (desd.e_max - desd.e_min, desd.e0 - desd.e_min)
-
-    def _steps(self, unit_cost, lam):
-        alpha = (unit_cost - lam) * self.desd.kappa
-        beta = (unit_cost + lam) / self.desd.kappa
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise SolverStall("local storage step: non-finite cost or price")
-        X, Y = self._X, self._Y
-        return [(-Y, b * Y, ((-b, Y, _FILL), (a, X, _DRAIN)))
-                for a, b in zip(alpha.tolist(), beta.tolist())]
-
-    def solve(self, unit_cost, lam):
-        """Optimal (discharge, charge) against the price copy lam."""
-        return self.priced(unit_cost, lam)[1:]
-
-    def priced(self, unit_cost, lam):
-        """Optimal cost against lam, and the (discharge, charge) attaining it."""
-        v, x, y = _storage_dp(self._steps(unit_cost, lam), *self._dp_args)
-        kappa, dt = self.desd.kappa, self.dt
-        return v, np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
-
-    def min_throughput(self, unit_cost, net):
-        """Cheapest schedule with the given net injection (cleanup pass).
-
-        With the grid rated 0 kW the battery alone covers ``net``: each
-        step takes its least SOC drop, and past it only burns energy.
-        """
-        zero = np.zeros(self.T)
-        # 1e-9 per kWh of throughput breaks zero-cost ties toward idling
-        sched = _battery_and_grid(self.desd, unit_cost + 1e-9, zero, zero, net, 0.0, self.dt)
-        if sched is None:
-            raise SolverStall("cleanup pass: no schedule has this net injection")
-        return sched
-
-    def social_response(self, unit_cost, pb, ps, resid):
-        """Best response against the true tariff with everyone else frozen.
-
-        resid is the imbalance this user and the grid must cover
-        together. Returns the user's schedule (discharge, charge).
-        """
-        # 1e-9 per kWh of throughput breaks zero-cost ties toward idling
-        sched = _battery_and_grid(self.desd, unit_cost + 1e-9, pb, ps, resid, self.p_max,
-                                  self.dt)
-        if sched is None:
-            raise SolverStall("rebalance step: no feasible schedule")
-        return sched
-
-
-def _dual_value(lam, netload, pb, ps, p_max, dt, locals_, units):
-    """Lower bound q(lam) on the social cost at a common price vector lam,
-    and the users' net injection (discharge - charge) at that q."""
-    q = float(np.sum(lam * netload) * dt)
-    q += float(np.sum(np.minimum(0.0, pb - lam) * p_max * dt))
-    q += float(np.sum(np.minimum(0.0, lam - ps) * p_max * dt))
-    inj = np.zeros(len(lam))
-    for uid, loc in locals_.items():
-        v, d, c = loc.priced(units[uid], lam)
-        q += v
-        inj += d - c
-    return q, inj
-
-
 def run_codes(model, rg=None, *, record_messages=False):
     """Distributed social schedule; see the module docstring.
 
@@ -206,7 +132,7 @@ def run_codes(model, rg=None, *, record_messages=False):
 
     active = [u for u in model.users if u.is_active]
     rows = {u.id: model.user_index(u.id) for u in active}
-    locals_ = {u.id: _UserLocal(u.desd, T, dt, p_max) for u in active}
+    desd = {u.id: u.desd for u in active}
     units = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
              for u in active}
     senders = [u.id for u in model.users] + [GRID_AGENT]
@@ -228,7 +154,7 @@ def run_codes(model, rg=None, *, record_messages=False):
     # price's below, so all share avg_count.
     sched, solved_at, acc = {}, {}, {}
     for uid, i in rows.items():
-        sched[uid] = locals_[uid].solve(units[uid], lam[i])
+        sched[uid] = _priced_battery(desd[uid], units[uid], lam[i], dt)[1:]
         solved_at[uid] = lam[i]
         acc[uid] = np.array(sched[uid])
         R[i] = user_net[uid] - (sched[uid][0] - sched[uid][1])
@@ -270,7 +196,8 @@ def run_codes(model, rg=None, *, record_messages=False):
         schedules tie, and patching them at the tariff spread costs real
         cents; each user's re-solve with everyone else frozen moves that
         mass back. It needs only the others' aggregate, which the
-        mismatch tracker already circulates.
+        mismatch tracker already circulates. None when a step has no
+        schedule within the battery and grid ratings.
         """
         d, c = dict(d0), dict(c0)
         inj = sum((d[uid] - c[uid] for uid in rows), np.zeros(T))
@@ -279,8 +206,12 @@ def run_codes(model, rg=None, *, record_messages=False):
         for _ in range(3):
             for uid in rows:
                 own = d[uid] - c[uid]
-                d[uid], c[uid] = locals_[uid].social_response(
-                    units[uid], pb, ps, netload - (inj - own))
+                # 1e-9 per kWh of throughput breaks zero-cost ties toward idling
+                sched_u = _battery_and_grid(desd[uid], units[uid] + 1e-9, pb, ps,
+                                            netload - (inj - own), p_max, dt)
+                if sched_u is None:
+                    return None
+                d[uid], c[uid] = sched_u
                 inj += (d[uid] - c[uid]) - own
             gb, gs, resid, cost = patch(netload - inj, d, c)
             if cost > prev - 1e-6:
@@ -295,7 +226,7 @@ def run_codes(model, rg=None, *, record_messages=False):
         hi = np.where(best[3] > 1e-6, ps, pb)  # or sells
         lam_p, q_best, steps = np.clip(start, lo, hi), best_q, 0
         for steps in range(1, PROBE_STEPS + 1):
-            q, inj = _dual_value(lam_p, netload, pb, ps, p_max, dt, locals_, units)
+            q, inj = _dual_value(lam_p, netload, model.prices, p_max, active, units, dt)
             q_best = max(q_best, q)
             g = np.where(lo < hi, netload - inj, 0.0) * dt
             gg = float(g @ g)
@@ -323,7 +254,7 @@ def run_codes(model, rg=None, *, record_messages=False):
         R[r] = -(buy - sell)
         for uid, i in rows.items():
             if float(np.max(np.abs(lam[i] - solved_at[uid]))) > LAZY_TOL:
-                sched[uid] = locals_[uid].solve(units[uid], lam[i])
+                sched[uid] = _priced_battery(desd[uid], units[uid], lam[i], dt)[1:]
                 solved_at[uid] = lam[i]
             R[i] = user_net[uid] - (sched[uid][0] - sched[uid][1])
             acc[uid] += sched[uid]
@@ -348,10 +279,7 @@ def run_codes(model, rg=None, *, record_messages=False):
                 best = (avg_d, avg_c, gb, gs, resid)
             gap = best_cost - best_q
             if best is not None and gap > tol_for(best_cost):
-                try:
-                    better = rebalance(avg_d, avg_c)
-                except SolverStall:
-                    better = None
+                better = rebalance(avg_d, avg_c)
                 if better is not None and better[5] < best_cost and better[4] <= BALANCE_TOL:
                     best, best_cost = better[:5], better[5]
                     gap = best_cost - best_q
@@ -371,9 +299,15 @@ def run_codes(model, rg=None, *, record_messages=False):
 
     avg_d, avg_c, gb, gs, resid = best
     discharge, charge = {}, {}
+    zero = np.zeros(T)
     for u in active:
-        discharge[u.id], charge[u.id] = locals_[u.id].min_throughput(
-            units[u.id], avg_d[u.id] - avg_c[u.id])
+        # at rating 0 the battery alone covers its net injection; 1e-9
+        # per kWh of throughput breaks zero-cost ties toward idling
+        sched_u = _battery_and_grid(u.desd, units[u.id] + 1e-9, zero, zero,
+                                    avg_d[u.id] - avg_c[u.id], 0.0, dt)
+        if sched_u is None:
+            raise SolverStall("cleanup pass: no schedule has this net injection")
+        discharge[u.id], charge[u.id] = sched_u
     return CodesRun(
         outcome=_costed(active, gb, gs, discharge, charge, model.prices, dt),
         converged=converged, iterations=rounds_done, gap=float(best_cost - best_q),

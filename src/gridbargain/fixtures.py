@@ -38,9 +38,6 @@ __all__ = [
     "random_rg_profiles",
 ]
 
-HOURS = np.arange(24)
-
-
 def tou_prices(T=24, dt=1.0):
     """Three-tier time-of-use tariff; sell price is 80% of buy price."""
     t = np.arange(T) * dt % 24

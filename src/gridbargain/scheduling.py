@@ -27,11 +27,15 @@ The number of batteries in the program picks the solver:
 * none: balance forces the grid exchange, and the cheapest one has a
   closed form (``_forced_exchange``);
 * one (every solo schedule, and every program of the distributed
-  solver: its local steps, rebalance and cleanup): ``_storage_dp``, an
-  exact backward DP over the convex piecewise-linear value of stored
-  energy. ``_battery_and_grid`` builds each step's battery-plus-grid
-  cost with array operations. On equal slopes the DP ends the hour at
-  the higher state of charge;
+  solver): ``_storage_dp``, an exact backward DP over the convex
+  piecewise-linear value of stored energy, whose steps only this module
+  builds. ``_battery_and_grid`` builds each step's battery-plus-grid
+  cost with array operations: solo schedules, the distributed
+  rebalance, and its cleanup with the grid rated 0 kW.
+  ``_priced_battery`` is one battery trading at a price both ways: the
+  distributed local step, and each user's term of ``_dual_value``, the
+  distributed certificate's lower bound. On equal slopes the DP ends
+  the hour at the higher state of charge;
 * two or more: HiGHS, on the LP that ``_storage_lp`` lays out from an
   ordered list of ports: the grid, then each battery. Each battery's
   state of charge is a column per step, tied to the previous step's by
@@ -471,6 +475,48 @@ def _battery_and_grid(desd, unit, buy, sell, net, p_g_max, dt):
     v = np.array(drain) - np.array(fill)
     y = burn(v)
     return (v + y) * (kappa / dt), y / (kappa * dt)
+
+
+def _priced_battery(desd, unit, lam, dt):
+    """One battery trading at price ``lam`` both ways, by ``_storage_dp``.
+
+    min sum_t ((c - lam) discharge + (c + lam) charge) dt over the SOC
+    polytope, c the unit degradation cost; in energy units a step fills
+    less at -(c + lam) / kappa per kWh (up to kappa p_b_max dt) and
+    drains more at kappa (c - lam) (up to p_b_max dt / kappa). It is the
+    distributed solver's local step and one user's term of
+    ``_dual_value``. Returns the optimal value and the (discharge,
+    charge) attaining it.
+    """
+    kappa = desd.kappa
+    X, Y = desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt
+    alpha, beta = (unit - lam) * kappa, (unit + lam) / kappa
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise SolverStall("local storage step: non-finite cost or price")
+    steps = [(-Y, b * Y, ((-b, Y, _FILL), (a, X, _DRAIN)))
+             for a, b in zip(alpha.tolist(), beta.tolist())]
+    v, x, y = _storage_dp(steps, desd.e_max - desd.e_min, desd.e0 - desd.e_min)
+    return v, np.array(x) * (kappa / dt), np.array(y) / (kappa * dt)
+
+
+def _dual_value(lam, net, prices, p_g_max, users, units, dt):
+    """Lower bound q(lam) on the pooled cost at a common price vector lam.
+
+    Relaxing power balance at price lam splits the pooled program: the
+    grid trades at its rating wherever lam beats the tariff, and each
+    of ``users`` (active, with unit costs ``units[id]``) runs
+    ``_priced_battery``. Returns q and the users' net injection
+    (discharge - charge) at it.
+    """
+    q = float(np.sum(lam * net) * dt)
+    q += float(np.sum(np.minimum(0.0, prices.buy - lam) * p_g_max * dt))
+    q += float(np.sum(np.minimum(0.0, lam - prices.sell) * p_g_max * dt))
+    inj = np.zeros(len(lam))
+    for u in users:
+        v, d, c = _priced_battery(u.desd, units[u.id], lam, dt)
+        q += v
+        inj += d - c
+    return q, inj
 
 
 def _pooled(users, net, prices, p_g_max, T, dt, what):

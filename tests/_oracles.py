@@ -23,9 +23,9 @@ bit.
 ran it before it became the battery-and-grid DP with the grid rated
 0 kW: HiGHS on ``_storage_lp`` over the one port [battery], each kW of
 throughput at the unit cost plus 1e-9, the bus held at the net
-injection. It stays here as the oracle for ``_UserLocal.min_throughput``,
-at HiGHS tolerances of 1e-10: at the default 1e-7 it leaves a net
-injection of a few nW uncovered.
+injection. It stays here as the oracle for that cleanup,
+``_battery_and_grid`` at rating 0, at HiGHS tolerances of 1e-10: at the
+default 1e-7 it leaves a net injection of a few nW uncovered.
 """
 
 from bisect import bisect_right

@@ -11,11 +11,12 @@ from scipy.optimize import linprog
 
 from gridbargain import codes, scheduling
 from gridbargain import (ConstantBdc, DesdParams, InvariantViolation, LengthMismatch,
-                         PriceProfile, SolverStall, convergence_trace, dump_message_log,
-                         run_codes, solve_individual, solve_social, validate_model)
-from gridbargain.codes import _UserLocal
+                         PriceProfile, SolverStall, build_pools, convergence_trace, data_path,
+                         dump_message_log, forecast_all, load_experiment, load_model, run_codes,
+                         solve_individual, solve_social, validate_model)
 from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
 from gridbargain.model import soc_trajectory
+from gridbargain.scheduling import _battery_and_grid, _priced_battery
 from _oracles import cleanup_lp, cumulative_storage_lp, two_segment_storage_dp
 
 
@@ -337,7 +338,6 @@ def storage_programs(draw):
 @given(storage_programs())
 def test_storage_dp_matches_highs(program):
     desd, T, dt, unit, lam = program
-    local = _UserLocal(desd, T, dt, p_max=10.0)
     c = np.concatenate([unit - lam, unit + lam]) * dt
     A_ub, b_ub, _ = cumulative_storage_lp([(desd.p_b_max, desd)], T, dt, False)
     # at HiGHS's default 1e-7 tolerances the oracle itself can miss the
@@ -349,10 +349,10 @@ def test_storage_dp_matches_highs(program):
     assert oracle.status == 0
     tol = 1e-9 * max(1.0, abs(oracle.fun))
 
-    discharge, charge = local.solve(unit, lam)
+    value, discharge, charge = _priced_battery(desd, unit, lam, dt)
     x = np.concatenate([discharge, charge])
     assert abs(float(c @ x) - oracle.fun) <= tol
-    assert abs(local.priced(unit, lam)[0] - oracle.fun) <= tol
+    assert abs(value - oracle.fun) <= tol
     assert np.all(A_ub @ x <= b_ub + 1e-9)
     assert np.all(x >= -1e-9) and np.all(x <= desd.p_b_max + 1e-9)
 
@@ -364,16 +364,15 @@ def test_local_step_is_the_two_segment_dp_bit_for_bit(program):
     answers exactly as the two-segment DP did, ties and alpha + beta < 0
     included: the distributed round counts depend on every bit."""
     desd, T, dt, unit, lam = program
-    local = _UserLocal(desd, T, dt, p_max=10.0)
     kappa = desd.kappa
     args = (((unit - lam) * kappa).tolist(), ((unit + lam) / kappa).tolist(),
             desd.p_b_max * dt / kappa, kappa * desd.p_b_max * dt,
             desd.e_max - desd.e_min, desd.e0 - desd.e_min)
     value, x, y = two_segment_storage_dp(*args, True)
-    discharge, charge = local.solve(unit, lam)
+    priced, discharge, charge = _priced_battery(desd, unit, lam, dt)
     assert np.array_equal(discharge, np.array(x) * (kappa / dt))
     assert np.array_equal(charge, np.array(y) / (kappa * dt))
-    assert local.priced(unit, lam)[0] == two_segment_storage_dp(*args, False)[0] == value
+    assert priced == two_segment_storage_dp(*args, False)[0] == value
 
 
 def test_storage_dp_bridge_by_hand():
@@ -387,46 +386,40 @@ def test_storage_dp_bridge_by_hand():
     """
     desd = DesdParams(e0=0.0, e_min=0.0, e_max=12.0, p_b_max=10.0, kappa=0.9,
                       bdc=ConstantBdc(1.0))
-    local = _UserLocal(desd, 2, 1.0, p_max=10.0)
-    unit, lam = np.ones(2), np.array([10.0, 30.0])
-    discharge, charge = local.solve(unit, lam)
+    value, discharge, charge = _priced_battery(desd, np.ones(2), np.array([10.0, 30.0]), 1.0)
     np.testing.assert_allclose(discharge, [0.0, 8.1], atol=1e-12)
     np.testing.assert_allclose(charge, [10.0, 0.0], atol=1e-12)
-    assert local.priced(unit, lam)[0] == pytest.approx(11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
+    assert value == pytest.approx(11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
 
 
 def test_storage_dp_ties_end_at_higher_soc():
     """With every action free, any schedule is optimal; the DP's tie rule
     fills the battery, which the distributed round counts depend on."""
     desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=0.5)
-    local = _UserLocal(desd, 3, 1.0, p_max=10.0)
-    discharge, charge = local.solve(np.zeros(3), np.zeros(3))
+    _, discharge, charge = _priced_battery(desd, np.zeros(3), np.zeros(3), 1.0)
     np.testing.assert_array_equal(discharge, np.zeros(3))
     np.testing.assert_allclose(charge, [0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_storage_dp_rejects_non_finite_prices():
     desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0)
-    local = _UserLocal(desd, 2, 1.0, p_max=10.0)
     for lam in (np.array([1.0, np.nan]), np.array([np.inf, 1.0])):
         with pytest.raises(SolverStall):
-            local.solve(np.zeros(2), lam)
-        with pytest.raises(SolverStall):
-            local.priced(np.zeros(2), lam)
+            _priced_battery(desd, np.zeros(2), lam, 1.0)
 
 
-def test_rebalance_step_without_a_schedule_stalls():
-    """The round-robin rebalance catches SolverStall only, so an
-    imbalance beyond the battery and grid ratings must raise that.
+def test_rebalance_step_beyond_the_ratings_has_no_schedule():
+    """A rebalance step is the battery-and-grid DP at the grid's rating,
+    and the rebalance gives up on a step without a schedule, so an
+    imbalance beyond the battery and grid ratings must return None.
     Within them, hour 1 drains the battery fully (saving 10 c/kWh) and
     hour 2 stores only the 0.5 kW the grid cannot take."""
     desd = DesdParams(e0=1.0, e_min=0.0, e_max=2.0, p_b_max=1.0)
-    local = _UserLocal(desd, 2, 1.0, p_max=3.0)
     tariff = np.full(2, 10.0), np.full(2, 5.0)
-    discharge, charge = local.social_response(np.zeros(2), *tariff, np.array([3.5, -3.5]))
+    unit = np.zeros(2) + 1e-9
+    discharge, charge = _battery_and_grid(desd, unit, *tariff, np.array([3.5, -3.5]), 3.0, 1.0)
     np.testing.assert_allclose(discharge - charge, [1.0, -0.5], atol=1e-12)
-    with pytest.raises(SolverStall):
-        local.social_response(np.zeros(2), *tariff, np.array([4.5, 0.0]))
+    assert _battery_and_grid(desd, unit, *tariff, np.array([4.5, 0.0]), 3.0, 1.0) is None
 
 
 def test_non_finite_rg_profile_rejected(reference_model):
@@ -442,33 +435,61 @@ def test_wrong_shape_rg_profile_rejected(reference_model):
 
 def test_distributed_run_calls_no_lp(monkeypatch, reference_model, favorable_rg):
     """A run is DP from end to end: no local step, rebalance or cleanup
-    reaches HiGHS, and every cleanup and rebalance answers exactly as a
-    fresh local would."""
+    reaches HiGHS. The cleanup is one battery-and-grid DP per active
+    user at rating 0, the rebalance steps run at the grid's rating, and
+    each answers exactly as a fresh call does."""
     def no_lp(*args, **kwargs):
         raise AssertionError("linprog was called")
 
     monkeypatch.setattr(codes, "linprog", no_lp)
     monkeypatch.setattr(scheduling, "linprog", no_lp)
     solves = []
-    for name in ("min_throughput", "social_response"):
-        def record(self, *args, _real=getattr(_UserLocal, name), _name=name):
-            args = [np.copy(a) for a in args]
-            out = _real(self, *args)
-            solves.append((_name, self, args, out))
-            return out
-        monkeypatch.setattr(_UserLocal, name, record)
 
+    def record(*args, _real=codes._battery_and_grid):
+        args = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+        out = _real(*args)
+        solves.append((args, out))
+        return out
+
+    monkeypatch.setattr(codes, "_battery_and_grid", record)
     run_codes(reference_model, favorable_rg)
     n_active = sum(u.is_active for u in reference_model.users)
-    names = [name for name, *_ in solves]
-    assert names.count("min_throughput") == n_active and "social_response" in names
+    p_max = reference_model.grid.p_g_max
+    ratings = [args[5] for args, _ in solves]
+    assert ratings.count(0.0) == n_active and p_max in ratings
 
     monkeypatch.undo()
-    p_max = reference_model.grid.p_g_max
-    for name, local, args, (discharge, charge) in solves:
-        fresh = _UserLocal(local.desd, local.T, local.dt, p_max)
-        d2, c2 = getattr(fresh, name)(*args)
+    for args, (discharge, charge) in solves:
+        d2, c2 = _battery_and_grid(*args)
         assert np.array_equal(discharge, d2) and np.array_equal(charge, c2)
+
+
+def test_shipped_instance_work_is_pinned(monkeypatch):
+    """The bench's distributed job on the shipped experiment stops at
+    round 5 after 11 probe steps, in 60 DP calls: 18 local steps and 33
+    probe evaluations priced, 6 rebalance steps and 3 cleanups against
+    the grid. A few percent of DP work is below the bench's resolution;
+    this count is not."""
+    config = load_experiment(data_path("experiment.yaml"))
+    model = load_model(config.model_path)
+    rg = forecast_all(build_pools(config), config.forecast)
+    counts = {"dp": 0, "local": 0, "probe": 0, "rebalance": 0, "cleanup": 0}
+
+    def counting(real, key):
+        def wrapped(*args):
+            counts[key(args) if callable(key) else key] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(scheduling, "_storage_dp", counting(scheduling._storage_dp, "dp"))
+    monkeypatch.setattr(codes, "_priced_battery", counting(codes._priced_battery, "local"))
+    monkeypatch.setattr(scheduling, "_priced_battery",
+                        counting(scheduling._priced_battery, "probe"))
+    monkeypatch.setattr(codes, "_battery_and_grid", counting(
+        codes._battery_and_grid, lambda args: "cleanup" if args[5] == 0.0 else "rebalance"))
+    run = run_codes(model, rg)
+    assert (run.converged, run.iterations, run.probe_steps) == (True, 5, 11)
+    assert counts == {"dp": 60, "local": 18, "probe": 33, "rebalance": 6, "cleanup": 3}
 
 
 # ------------------------------------------------------------ cleanup pass
@@ -513,8 +534,8 @@ def test_cleanup_dp_matches_the_cleanup_lp():
     @given(cleanup_programs())
     def check(program):
         desd, T, dt, unit, net = program
-        local = _UserLocal(desd, T, dt, p_max=10.0)
-        discharge, charge = local.min_throughput(unit, net)
+        zero = np.zeros(T)
+        discharge, charge = _battery_and_grid(desd, unit + 1e-9, zero, zero, net, 0.0, dt)
         d_lp, c_lp = cleanup_lp(desd, T, dt, unit, net)
         c = unit + 1e-9
         f = float(c @ (d_lp + c_lp))
@@ -535,9 +556,8 @@ def test_cleanup_burns_what_a_full_battery_cannot_store():
     0.45 kWh per kWh cycled, so it charges 2.5 kW and discharges 1.6 kW.
     1.2 kW would need 3.3 kW of charge, above the 3 kW rating."""
     desd = DesdParams(e0=5.0, e_min=0.0, e_max=5.0, p_b_max=3.0, kappa=0.8)
-    local = _UserLocal(desd, 1, 1.0, p_max=10.0)
-    discharge, charge = local.min_throughput(np.ones(1), np.array([-0.9]))
+    unit, zero = np.ones(1) + 1e-9, np.zeros(1)
+    discharge, charge = _battery_and_grid(desd, unit, zero, zero, np.array([-0.9]), 0.0, 1.0)
     np.testing.assert_allclose(discharge, [1.6], atol=1e-12)
     np.testing.assert_allclose(charge, [2.5], atol=1e-12)
-    with pytest.raises(SolverStall, match="cleanup pass"):
-        local.min_throughput(np.ones(1), np.array([-1.2]))
+    assert _battery_and_grid(desd, unit, zero, zero, np.array([-1.2]), 0.0, 1.0) is None

@@ -25,8 +25,9 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
 from gridbargain import scheduling
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
-from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _forced_exchange,
-                                    _linprog_input, _lp_keywords, _solve_lp, _storage_lp)
+from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _dual_value, _forced_exchange,
+                                    _linprog_input, _lp_keywords, _priced_battery, _solve_lp,
+                                    _storage_lp)
 from _oracles import cumulative_storage_lp, relinearize_every_pass
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
@@ -838,3 +839,47 @@ def test_battery_and_grid_burns_a_surplus_beyond_the_grid_rating():
                                           np.array([-5.7]), 1.0, 0.25)
     assert discharge[0] == 0.0
     assert charge[0] == pytest.approx(4.7, abs=1e-12)
+
+
+def test_dual_value_is_a_lower_bound_at_any_price():
+    """q(lam) <= J_soc for every common price, not only the probe's
+    prices in [p_s, p_b]: below p_s, above p_b and negative too. Its
+    injection is the users' priced schedules, summed. Criterion 5's
+    draws, constant unit costs."""
+    rng = np.random.default_rng(501)
+    lam_rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = random_model(rng, r_max=6, T=24)
+        rg = random_rg_profiles(m, rng)
+        j_soc = solve_social(m, rg).social_cost
+        T, dt = int(m.horizon.steps), float(m.horizon.dt)
+        net = m.demands.sum(axis=0) - sum(rg.values(), np.zeros(T))
+        active = [u for u in m.users if u.is_active]
+        units = {u.id: np.full(T, float(u.desd.bdc.unit_cost(u.desd.e0 / u.desd.e_max)))
+                 for u in active}
+        pb, ps = m.prices.buy, m.prices.sell
+        for k in range(20):
+            if k % 2:  # inside [p_s, p_b]
+                lam = ps + lam_rng.uniform(0.0, 1.0, T) * (pb - ps)
+            else:  # anywhere, negative prices included
+                lam = lam_rng.uniform(-20.0, 2.0 * float(pb.max()) + 20.0, T)
+            q, inj = _dual_value(lam, net, m.prices, m.grid.p_g_max, active, units, dt)
+            assert q <= j_soc + 1e-9
+            priced = [_priced_battery(u.desd, units[u.id], lam, dt) for u in active]
+            np.testing.assert_array_equal(inj, sum((d - c for _, d, c in priced), np.zeros(T)))
+
+
+def test_dual_value_by_hand():
+    """Every term of q at prices outside [p_s, p_b]: hour 1's price is
+    below the 15 c sale price, so the grid sells its 5 kW rating
+    (-25 c), and hour 2's above the 20 c tariff, so it buys 5 kW
+    (-50 c); lam . net is 70 c; the battery of
+    ``test_storage_dp_bridge_by_hand`` fills at 10 c and drains 8.1 kW
+    at 30 c, 11 * 10 - 29 * 8.1 c."""
+    desd = DesdParams(e0=0.0, e_min=0.0, e_max=12.0, p_b_max=10.0, kappa=0.9,
+                      bdc=ConstantBdc(1.0))
+    prices = PriceProfile(buy=np.full(2, 20.0), sell=np.full(2, 15.0))
+    q, inj = _dual_value(np.array([10.0, 30.0]), np.array([1.0, 2.0]), prices, 5.0,
+                         [UserSpec("b", desd=desd)], {"b": np.ones(2)}, 1.0)
+    assert q == pytest.approx(70.0 - 25.0 - 50.0 + 11.0 * 10.0 - 29.0 * 8.1, abs=1e-12)
+    np.testing.assert_allclose(inj, [-10.0, 8.1], atol=1e-12)
