@@ -8,9 +8,13 @@ Subcommands:
   report     the whole pipeline in one deterministic report
 
 Users are numbered 1..r in model order everywhere a command talks
-about them (--honest, gamma sweeps, report rows). Exit codes: 0 ok,
-2 bad input, 3 solver trouble, 4 the bargain fell through. Set
-GRIDBARGAIN_LOG=info (or debug) for progress on stderr.
+about them (--honest, gamma sweeps, report rows). bargain and region
+take either an experiment or --d-vector/--jsoc, which excludes the
+experiment argument and --solver. Exit codes: 0 ok, 2 bad input, 3
+solver trouble, 4 the bargain fell through. A distributed schedule
+that ends short of its certificate exits 3: schedule after writing its
+diagnostics to schedule.json, report, bargain and region writing
+nothing. Set GRIDBARGAIN_LOG=info (or debug) for progress on stderr.
 
 Reports are reproducible: identical config and seed give byte-identical
 JSON; wall-clock timings go to a separate timings.json.
@@ -199,50 +203,81 @@ def cmd_schedule(args):
     solver = args.solver or config.solver
     out = _out_dir(args, config)
     outcome, frag, run, elapsed = _schedule(model, rg, solver)
-    timings = {"schedule_s": elapsed}
+    runs, timings = [run], {"schedule_s": elapsed}
     if args.verify_oracle:
         other = "centralized" if solver == "distributed" else "distributed"
-        _, frag2, run2, elapsed2 = _schedule(model, rg, other)
-        frag["oracle_solver"] = other
-        frag["oracle_j_soc"] = frag2["j_soc"]
-        frag["cost_gap"] = frag["j_soc"] - frag2["j_soc"]
-        timings["oracle_s"] = elapsed2
-        if run2 is not None and not run2.converged:
-            run = run2 if run is None or run.converged else run
-    report = {"config": os.path.basename(config.path), "seed": config.seed, **frag}
-    io.write_json(os.path.join(out, "schedule.json"), report)
+        _, frag2, run2, timings["oracle_s"] = _schedule(model, rg, other)
+        frag.update(oracle_solver=other, oracle_j_soc=frag2["j_soc"],
+                    cost_gap=frag["j_soc"] - frag2["j_soc"])
+        runs.append(run2)
+    io.write_json(os.path.join(out, "schedule.json"),
+                  {"config": os.path.basename(config.path), "seed": config.seed, **frag})
     io.write_json(os.path.join(out, "timings.json"), timings)
     if args.full_decisions:
         _write_decisions(out, model, outcome)
     log.info("schedule done: J_soc = %.4f cents (%s)", frag["j_soc"], solver)
-    if run is not None and not run.converged:
-        log.error("distributed solver left a gap of %.4f cents", run.gap)
+    gaps = [run.gap for run in runs if run is not None and not run.converged]
+    if gaps:
+        log.error("distributed solver left a gap of %.4f cents", gaps[0])
         return 3
     return 0
 
 
-def _bargain_inputs(args):
-    """D vector and J_soc, either from flags or from the full pipeline."""
-    if args.d_vector is not None:
-        if args.jsoc is None:
-            raise InvariantViolation(["--d-vector needs --jsoc"])
-        if not np.isfinite(args.jsoc):
-            raise InvariantViolation([f"--jsoc must be finite, got {args.jsoc}"])
-        d = _parse_floats(args.d_vector, "--d-vector")
-        return None, d, float(args.jsoc), {}
-    if args.config is None:
-        raise InvariantViolation(["give an experiment config or --d-vector/--jsoc"])
+def _day(args):
+    """Load, forecast, schedule and solo costs: the day up to the bargain.
+
+    Returns (config, model, rg, outcome, schedule fragment, D vector,
+    timings). A distributed run short of its certificate raises
+    NoConvergence before any file is written.
+    """
     config, model, pools, rg = _load_bundle(args)
-    solver = getattr(args, "solver", None) or config.solver
-    outcome, frag, run, elapsed = _schedule(model, rg, solver)
+    outcome, frag, run, elapsed = _schedule(model, rg, args.solver or config.solver)
     if run is not None and not run.converged:
-        raise NoConvergence(
-            f"distributed schedule left a gap of {run.gap:.4f} cents")
+        raise NoConvergence(f"distributed schedule left a gap of {run.gap:.4f} cents")
+    t0 = time.perf_counter()
     individual = scheduling.individual_costs(model, rg)
+    timings = {"schedule_s": elapsed, "individual_s": time.perf_counter() - t0}
     d = np.array([individual[u.id].cost for u in model.users])
-    return config, d, float(outcome.social_cost), {
-        "schedule": frag, "timings": {"schedule_s": elapsed},
-    }
+    return config, model, rg, outcome, frag, d, timings
+
+
+def _bargain_inputs(args):
+    """(config, D, J_soc, schedule fragment, timings), either from
+    --d-vector/--jsoc (config and fragment None) or from the day."""
+    if args.d_vector is None:
+        if args.config is None:
+            raise InvariantViolation(["give an experiment config or --d-vector/--jsoc"])
+        config, model, rg, outcome, frag, d, timings = _day(args)
+        return config, d, float(outcome.social_cost), frag, timings
+    if args.config is not None or args.solver is not None:
+        raise InvariantViolation(["--d-vector excludes the experiment argument and --solver"])
+    if args.jsoc is None:
+        raise InvariantViolation(["--d-vector needs --jsoc"])
+    if not np.isfinite(args.jsoc):
+        raise InvariantViolation([f"--jsoc must be finite, got {args.jsoc}"])
+    return None, _parse_floats(args.d_vector, "--d-vector"), float(args.jsoc), None, {}
+
+
+def _monte_carlo(args, config, r, samples_default=0):
+    """(honest positions, sample count, seed), each from its flag, else
+    from the experiment, else from the default; report has no --honest
+    or --samples flag."""
+    honest = getattr(args, "honest", None)
+    honest = _parse_honest(honest, r) if honest is not None else (
+        config.mc_honest if config else ())
+    samples = getattr(args, "samples", None)
+    if samples is None:
+        samples = (config.mc_samples if config else 0) or samples_default
+    seed = args.seed if args.seed is not None else (config.mc_seed if config else 0)
+    return honest, int(samples), int(seed)
+
+
+def _timed(timings, key, func, *args, **kwargs):
+    """func(*args, stats=timings, **kwargs), its seconds in timings[key]."""
+    t0 = time.perf_counter()
+    result = func(*args, stats=timings, **kwargs)
+    timings[key] = time.perf_counter() - t0
+    return result
 
 
 def _gamma_sweep_csv(out, d, j_soc, sweep):
@@ -264,52 +299,39 @@ def _gamma_sweep_csv(out, d, j_soc, sweep):
 
 
 def cmd_bargain(args):
-    config, d, j_soc, extra = _bargain_inputs(args)
+    config, d, j_soc, frag, timings = _bargain_inputs(args)
     r = d.shape[0]
-    gamma = None
+    gamma = config.gamma if config and config.gamma is not None else np.zeros(r)
     if args.gamma is not None:
         gamma = _parse_floats(args.gamma, "--gamma")
-    elif config is not None and config.gamma is not None:
-        gamma = config.gamma
-    if gamma is not None and gamma.shape[0] != r:
+    if gamma.shape[0] != r:
         raise InvariantViolation(
             [f"gamma has {gamma.shape[0]} entries but there are {r} users"])
     sweep = config.gamma_sweep if config is not None else None
-    in_play = (gamma.tolist() if gamma is not None else []) + ([sweep["max"]] if sweep else [])
-    bargaining.check_scale(d, j_soc, in_play)
-
-    honest = _parse_honest(args.honest, r) if args.honest is not None else (
-        config.mc_honest if config else ())
-    samples = args.samples if args.samples is not None else (
-        config.mc_samples if config else 0)
-    seed = args.seed if args.seed is not None else (config.mc_seed if config else 0)
+    bargaining.check_scale(d, j_soc, gamma.tolist() + ([sweep["max"]] if sweep else []))
+    honest, samples, seed = _monte_carlo(args, config, r)
 
     out = _out_dir(args, config)
     ideal = bargaining.allocate(d, j_soc)
-    mc = {}
-    t0 = time.perf_counter()
-    resilience = bargaining.resilience_report(
-        d, j_soc, gamma, honest=[i - 1 for i in honest],
-        mc_samples=int(samples), seed=int(seed), stats=mc)
-    mc_elapsed = time.perf_counter() - t0
-
+    resilience = _timed(timings, "monte_carlo_s", bargaining.resilience_report,
+                        d, j_soc, gamma, honest=[i - 1 for i in honest],
+                        mc_samples=samples, seed=seed)
     report = {
         "config": os.path.basename(config.path) if config else None,
         "d": d,
         "j_soc": j_soc,
         "ideal": ideal,
-        "gamma": gamma if gamma is not None else np.zeros(r),
+        "gamma": gamma,
         "resilience": resilience,
         "honest": list(honest),
-        "mc_samples": int(samples),
-        "mc_seed": int(seed),
+        "mc_samples": samples,
+        "mc_seed": seed,
     }
-    if "schedule" in extra:
-        report["schedule"] = extra["schedule"]
+    if frag is not None:
+        report["schedule"] = frag
     if sweep is not None:
         report["gamma_sweep_rows"] = _gamma_sweep_csv(out, d, j_soc, sweep)
     io.write_json(os.path.join(out, "bargain.json"), report)
-    timings = dict(extra.get("timings", {}), monte_carlo_s=mc_elapsed, **mc)
     io.write_json(os.path.join(out, "timings.json"), timings)
     log.info("bargain: eps0 = %.4f, declared eps = %.4f, success = %s",
              resilience["eps0"], resilience["epsilon"], resilience["success"])
@@ -320,67 +342,43 @@ def cmd_bargain(args):
 
 
 def cmd_region(args):
-    config, d, j_soc, extra = _bargain_inputs(args)
+    config, d, j_soc, _, _ = _bargain_inputs(args)
     r = d.shape[0]
     bargaining.check_scale(d, j_soc)
-    honest = _parse_honest(args.honest, r) if args.honest is not None else (
-        config.mc_honest if config else ())
-    samples = args.samples if args.samples is not None else (
-        (config.mc_samples if config else 0) or 1_000_000)
-    seed = args.seed if args.seed is not None else (config.mc_seed if config else 0)
+    honest, samples, seed = _monte_carlo(args, config, r, samples_default=1_000_000)
     eps0 = (float(d.sum()) - j_soc) / r
 
     out = _out_dir(args, config)
-    mc = {}
-    t0 = time.perf_counter()
-    regions = bargaining.region_probabilities(
-        d, eps0, [i - 1 for i in honest], int(samples), seed=int(seed), stats=mc)
-    elapsed = time.perf_counter() - t0
+    timings = {}
+    regions = _timed(timings, "monte_carlo_s", bargaining.region_probabilities,
+                     d, eps0, [i - 1 for i in honest], samples, seed=seed)
     io.write_json(os.path.join(out, "region.json"), {
         "config": os.path.basename(config.path) if config else None,
         "d": d,
         "j_soc": j_soc,
         "eps0": eps0,
         "honest": list(honest),
-        "n_samples": int(samples),
-        "seed": int(seed),
+        "n_samples": samples,
+        "seed": seed,
         "regions": regions,
     })
-    io.write_json(os.path.join(out, "timings.json"), dict(monte_carlo_s=elapsed, **mc))
+    io.write_json(os.path.join(out, "timings.json"), timings)
     for name in bargaining.PREDICATES:
         log.info("%s: %.4f%%", name, 100.0 * regions[name].probability)
     return 0
 
 
 def cmd_report(args):
-    config, model, pools, rg = _load_bundle(args)
-    solver = args.solver or config.solver
+    config, model, rg, outcome, frag, d, timings = _day(args)
     out = _out_dir(args, config)
-    timings = {}
-
-    forecast_index = None
-    if rg is not None:
-        forecast_index = _write_forecast(out, model, rg)
-
-    outcome, frag, run, elapsed = _schedule(model, rg, solver)
-    timings["schedule_s"] = elapsed
-    if run is not None and not run.converged:
-        log.error("distributed solver left a gap of %.4f cents", run.gap)
-        return 3
-
-    t0 = time.perf_counter()
-    individual = scheduling.individual_costs(model, rg)
-    timings["individual_s"] = time.perf_counter() - t0
-    d = np.array([individual[u.id].cost for u in model.users])
+    forecast_index = _write_forecast(out, model, rg) if rg is not None else None
     j_soc = float(outcome.social_cost)
-
     ideal = bargaining.allocate(d, j_soc)
     gamma = config.gamma if config.gamma is not None else np.zeros(model.n_users)
-    t0 = time.perf_counter()
-    resilience = bargaining.resilience_report(
-        d, j_soc, gamma, honest=[i - 1 for i in config.mc_honest],
-        mc_samples=config.mc_samples, seed=config.mc_seed, stats=timings)
-    timings["bargain_s"] = time.perf_counter() - t0
+    honest, samples, seed = _monte_carlo(args, config, model.n_users)
+    resilience = _timed(timings, "bargain_s", bargaining.resilience_report,
+                        d, j_soc, gamma, honest=[i - 1 for i in honest],
+                        mc_samples=samples, seed=seed)
 
     report = {
         "config": os.path.basename(config.path),
@@ -392,8 +390,7 @@ def cmd_report(args):
         "ideal": ideal,
         "gamma": gamma,
         "resilience": resilience,
-        "mc": {"samples": config.mc_samples, "honest": list(config.mc_honest),
-               "seed": config.mc_seed},
+        "mc": {"samples": samples, "honest": list(honest), "seed": seed},
     }
 
     # The distributed pipeline also settles the allocation by averaging
@@ -401,7 +398,7 @@ def cmd_report(args):
     # from its declared cost net of its own degradation bill, the grid
     # node from the negated trading cost, and the network average
     # recovers the common discount without anyone pooling the raw costs.
-    if solver == "distributed":
+    if frag["solver"] == "distributed":
         n = model.n_users + 1
         W = consensus.metropolis_weights(model.graph, n)
         s = bargaining.selfish_cost(d, gamma)
@@ -439,58 +436,46 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("config", help="experiment YAML")
-        else:
+    def command(name, func, help, solver=True, standalone=False):
+        """A subcommand with the experiment argument, --out, --seed and,
+        unless told otherwise, --solver; ``standalone`` adds the
+        --d-vector group that replaces the experiment."""
+        sp = sub.add_parser(name, help=help)
+        if standalone:
             sp.add_argument("config", nargs="?", default=None,
                             help="experiment YAML (optional with --d-vector)")
+        else:
+            sp.add_argument("config", help="experiment YAML")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed")
+        if solver:
+            sp.add_argument("--solver", choices=io.SOLVERS, default=None)
+        if standalone:
+            sp.add_argument("--d-vector", default=None,
+                            help="comma-separated ideal costs in place of an experiment")
+            sp.add_argument("--jsoc", type=float, default=None,
+                            help="social cost to pair with --d-vector")
+            sp.add_argument("--samples", type=int, default=None,
+                            help="Monte Carlo samples (0 skips the region study in bargain)")
+            sp.add_argument("--honest", default=None,
+                            help="comma-separated 1-based positions kept honest")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("forecast", help="write expected RG profiles per user")
-    common(sp)
-    sp.set_defaults(func=cmd_forecast)
-
-    sp = sub.add_parser("schedule", help="solve the day-ahead social schedule")
-    common(sp)
-    sp.add_argument("--solver", choices=io.SOLVERS, default=None)
+    command("forecast", cmd_forecast, "write expected RG profiles per user", solver=False)
+    sp = command("schedule", cmd_schedule, "solve the day-ahead social schedule")
     sp.add_argument("--verify-oracle", action="store_true",
                     help="also run the other solver and report the cost gap")
     sp.add_argument("--full-decisions", action="store_true",
                     help="write per-agent schedule CSVs")
-    sp.set_defaults(func=cmd_schedule)
-
-    sp = sub.add_parser("bargain", help="allocate costs and probe selfishness")
-    common(sp, config_required=False)
-    sp.add_argument("--solver", choices=io.SOLVERS, default=None)
-    sp.add_argument("--d-vector", default=None,
-                    help="comma-separated ideal costs (skips the schedule)")
-    sp.add_argument("--jsoc", type=float, default=None,
-                    help="social cost to pair with --d-vector")
+    sp = command("bargain", cmd_bargain, "allocate costs and probe selfishness",
+                 standalone=True)
     sp.add_argument("--gamma", default=None,
                     help="comma-separated selfishness coefficients")
-    sp.add_argument("--samples", type=int, default=None,
-                    help="Monte Carlo samples (0 skips the region study)")
-    sp.add_argument("--honest", default=None,
-                    help="comma-separated 1-based positions kept honest")
-    sp.set_defaults(func=cmd_bargain)
-
-    sp = sub.add_parser("region", help="Monte Carlo outcome-region probabilities")
-    common(sp, config_required=False)
-    sp.add_argument("--solver", choices=io.SOLVERS, default=None)
-    sp.add_argument("--d-vector", default=None)
-    sp.add_argument("--jsoc", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--honest", default=None)
-    sp.set_defaults(func=cmd_region)
-
-    sp = sub.add_parser("report", help="full pipeline, one report")
-    common(sp)
-    sp.add_argument("--solver", choices=io.SOLVERS, default=None)
+    command("region", cmd_region, "Monte Carlo outcome-region probabilities", standalone=True)
+    sp = command("report", cmd_report, "full pipeline, one report")
     sp.add_argument("--full-decisions", action="store_true")
-    sp.set_defaults(func=cmd_report)
     return p
 
 

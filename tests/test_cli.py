@@ -238,6 +238,28 @@ def test_region_seed_changes_draws(tmp_path):
                for n in PREDICATES)
 
 
+@pytest.mark.parametrize("solver", ["centralized", "distributed"])
+def test_report_bargain_and_region_agree(tmp_path, solver):
+    """The three commands share one day: bargain restates the report's
+    costs, schedule and bargain, and region the bargain's Monte Carlo."""
+    cfg = _experiment(tmp_path, solver=solver,
+                      monte_carlo={"samples": 5000, "honest": [1], "seed": 3})
+    reps = {}
+    for command in ("report", "bargain", "region"):
+        out = tmp_path / command
+        assert cli.main([command, cfg, "--out", str(out)]) == 0
+        reps[command] = _read(out / f"{command}.json")
+    report, bargain, region = reps["report"], reps["bargain"], reps["region"]
+    for key in ("d", "ideal", "gamma", "resilience", "schedule"):
+        assert bargain[key] == report[key], key
+    assert bargain["j_soc"] == report["schedule"]["j_soc"]
+    assert report["mc"] == {"samples": 5000, "honest": [1], "seed": 3}
+    assert (bargain["mc_samples"], bargain["honest"], bargain["mc_seed"]) == (5000, [1], 3)
+    assert (region["n_samples"], region["honest"], region["seed"]) == (5000, [1], 3)
+    assert region["d"] == bargain["d"] and region["j_soc"] == bargain["j_soc"]
+    assert region["regions"] == bargain["resilience"]["regions"]
+
+
 # Runs one command in the interpreter it starts, then prints the exit code
 # and which of scipy's solver modules got imported.
 _IMPORT_PROBE = """
@@ -295,6 +317,14 @@ def test_exit_2_bad_flag_values(tmp_path):
                      "--honest", "0", "--out", out]) == 2
     assert cli.main(["region", "--d-vector", "1,2", "--jsoc", "3",
                      "--honest", "5", "--samples", "10", "--out", out]) == 2
+    # --d-vector with an experiment or --solver: neither may be dropped silently
+    cfg = _experiment(tmp_path)
+    for command in ("bargain", "region"):
+        assert cli.main([command, cfg, f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC,
+                         "--samples", "10", "--out", out]) == 2
+        assert cli.main([command, f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC,
+                         "--solver", "centralized", "--samples", "10", "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv", [
@@ -681,6 +711,18 @@ def test_exit_3_unconverged_distributed_schedule(tmp_path, monkeypatch):
     rep = _read(out / "schedule.json")  # diagnostics still land on disk
     assert rep["converged"] is False
     assert rep["certified_gap"] > 1.0
+
+
+@pytest.mark.parametrize("command", ["report", "bargain", "region"])
+def test_exit_3_unconverged_distributed_day_writes_nothing(tmp_path, monkeypatch, command):
+    """The commands that bargain on the schedule refuse an uncertified one
+    before they create their output directory."""
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20)):
+        monkeypatch.setattr(codes, name, value)
+    cfg = _unconverged_experiment(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main([command, cfg, "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_exit_3_distributed_schedule_without_a_balanced_check(tmp_path, monkeypatch):
