@@ -227,21 +227,15 @@ def _tally_span(mags, budget, r, seed, block, lo, hi):
         largest = y[:, 0] if k == 1 else np.maximum(y[:, 0], y[:, 1])
         for j in range(2, k):
             np.maximum(largest, y[:, j], out=largest)
-        keep = largest <= budget
-        # past half a chunk, a copy costs more than carrying the rows
-        # along: the next test rejects them anyway
-        if 2 * np.count_nonzero(keep) <= c:
-            y = y.compress(keep, axis=0)
+        y = y.compress(largest <= budget, axis=0)
         r_tot = y.sum(axis=1)  # a sum of columns differs in the last bit from k = 8
         success = r_tot <= budget
         n_success = int(np.count_nonzero(success))
         n_fails += c - n_success
         if n_success == 0:
             continue
-        profit = success
-        if 2 * n_success <= success.size:
-            y, r_tot = y.compress(success, axis=0), r_tot[success]
-            profit = np.ones(n_success, dtype=bool)
+        y, r_tot = y.compress(success, axis=0), r_tot[success]
+        profit = np.ones(n_success, dtype=bool)
         for j in range(k):
             profit &= y[:, j] * r > r_tot
         n_all = int(np.count_nonzero(profit))

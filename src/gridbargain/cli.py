@@ -14,10 +14,16 @@ experiment argument and --solver. Exit codes: 0 ok, 2 bad input, 3
 solver trouble, 4 the bargain fell through. A distributed schedule
 that ends short of its certificate exits 3: schedule after writing its
 diagnostics to schedule.json, report, bargain and region writing
-nothing. Set GRIDBARGAIN_LOG=info (or debug) for progress on stderr.
+nothing. schedule --verify-oracle also runs the other solver as an
+oracle and adds its oracle_solver, oracle_j_soc and the cost_gap to
+schedule.json; a distributed oracle adds oracle_converged and
+oracle_certified_gap. Set GRIDBARGAIN_LOG=info (or debug) for progress
+on stderr.
 
 Reports are reproducible: identical config and seed give byte-identical
-JSON; wall-clock timings go to a separate timings.json.
+JSON; wall-clock timings go to a separate timings.json (on an
+experiment, report, bargain and region record schedule_s and
+individual_s, the solo costs).
 """
 
 from __future__ import annotations
@@ -208,7 +214,9 @@ def cmd_schedule(args):
         other = "centralized" if solver == "distributed" else "distributed"
         _, frag2, run2, timings["oracle_s"] = _schedule(model, rg, other)
         frag.update(oracle_solver=other, oracle_j_soc=frag2["j_soc"],
-                    cost_gap=frag["j_soc"] - frag2["j_soc"])
+                    cost_gap=frag["j_soc"] - frag2["j_soc"],
+                    **{f"oracle_{k}": frag2[k] for k in ("converged", "certified_gap")
+                       if k in frag2})
         runs.append(run2)
     io.write_json(os.path.join(out, "schedule.json"),
                   {"config": os.path.basename(config.path), "seed": config.seed, **frag})
@@ -342,14 +350,13 @@ def cmd_bargain(args):
 
 
 def cmd_region(args):
-    config, d, j_soc, _, _ = _bargain_inputs(args)
+    config, d, j_soc, _, timings = _bargain_inputs(args)
     r = d.shape[0]
     bargaining.check_scale(d, j_soc)
     honest, samples, seed = _monte_carlo(args, config, r, samples_default=1_000_000)
     eps0 = (float(d.sum()) - j_soc) / r
 
     out = _out_dir(args, config)
-    timings = {}
     regions = _timed(timings, "monte_carlo_s", bargaining.region_probabilities,
                      d, eps0, [i - 1 for i in honest], samples, seed=seed)
     io.write_json(os.path.join(out, "region.json"), {

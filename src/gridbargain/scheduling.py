@@ -41,10 +41,8 @@ The number of batteries in the program picks the solver:
   state of charge is a column per step, tied to the previous step's by
   an equality row, so the LP has equality rows only and its sparse
   matrix, built once per run straight from index arrays, holds O(T)
-  nonzeros per battery. LPs small enough that scipy takes dense input
-  faster reach ``linprog`` dense; HiGHS receives the same matrix either
-  way. scipy is imported on the first such program, so the other two
-  cases, and every distributed run, never load it.
+  nonzeros per battery. scipy is imported on the first such program,
+  so the other two cases, and every distributed run, never load it.
 
 Costs are comparable across solvers; decisions are reported but two
 optimal schedules may differ wherever the optimum is degenerate.
@@ -185,21 +183,6 @@ def _lp_keywords(lp, c, bus):
     b_eq[:lp["T"]] = bus
     c = np.concatenate([c, np.zeros(lp["bounds"].shape[0] - len(c))])
     return {"c": c, "A_eq": lp["A_eq"], "b_eq": b_eq, "bounds": lp["bounds"]}
-
-
-# scipy's linprog spends a fixed ~0.4 ms more on sparse input and ~20 ns
-# per matrix entry on dense input; on state-form storage LPs the two
-# cross between 41k and 45k dense entries (paired in-process timings,
-# 2-core x86-64, scipy 1.17). HiGHS receives the same CSC matrix either way.
-_DENSE_INPUT_MAX = 40_000
-
-
-def _linprog_input(lp):
-    """``lp`` as handed to ``linprog``: its matrix dense when it is small."""
-    A = lp["A_eq"]
-    if A.shape[0] * A.shape[1] > _DENSE_INPUT_MAX:
-        return lp
-    return dict(lp, A_eq=A.toarray())
 
 
 def linprog(*args, **kwargs):
@@ -548,8 +531,7 @@ def _pooled(users, net, prices, p_g_max, T, dt, what):
             return (*_forced_exchange(grid, prices, p_g_max, what),
                     {user.id: discharge}, {user.id: charge})
     else:
-        lp = _linprog_input(_storage_lp(
-            [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active], T, dt))
+        lp = _storage_lp([(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active], T, dt)
 
         def solve(unit):
             c = np.concatenate(

@@ -38,7 +38,7 @@ from gridbargain.errors import Infeasible, SolverStall
 from gridbargain.model import ConstantBdc
 from gridbargain.scheduling import (CONVERGED_DELTA_CENTS, FEAS_TOL, MAX_OUTER,
                                     _battery_and_grid, _costed, _forced_exchange,
-                                    _linprog_input, _lp_keywords, _solve_lp, _storage_lp)
+                                    _lp_keywords, _solve_lp, _storage_lp)
 
 
 def cumulative_storage_lp(ports, T, dt, refill_terminal):
@@ -178,9 +178,9 @@ def relinearize_every_pass(users, net, prices, p_g_max, T, dt, what):
             return (*_forced_exchange(grid, prices, p_g_max, what),
                     {user.id: discharge}, {user.id: charge})
     else:
-        lp = _linprog_input(_storage_lp(
+        lp = _storage_lp(
             [(p_g_max, None)] + [(u.desd.p_b_max, u.desd) for u in active],
-            T, dt))
+            T, dt)
 
         def solve(unit):
             c = np.concatenate(
@@ -222,7 +222,7 @@ def relinearize_every_pass(users, net, prices, p_g_max, T, dt, what):
 
 def cleanup_lp(desd, T, dt, unit_cost, net):
     """Cheapest schedule with the given net injection, by HiGHS."""
-    lp = _linprog_input(_storage_lp([(desd.p_b_max, desd)], T, dt))
+    lp = _storage_lp([(desd.p_b_max, desd)], T, dt)
     c = np.concatenate([unit_cost, unit_cost]) + 1e-9  # break zero-cost ties
     res = linprog(**_lp_keywords(lp, c, net), method="highs",
                   options={"dual_feasibility_tolerance": 1e-10,

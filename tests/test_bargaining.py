@@ -450,6 +450,17 @@ def test_region_counts_golden_shipped():
                    "succeeds_some_lose": 2644}
 
 
+def test_region_probabilities_golden_most_rows_within_the_budget():
+    """A tally where most rows pass the max screen: user 2 honest on the
+    favorable case, 56% of the rows within the budget."""
+    d = [-61.33, 481.18, 101.48, -23.34]
+    probs = region_probabilities(d, (sum(d) - 438.68) / 4, [1], 1_000_000, seed=5)
+    counts = {"all_dishonest_profit": 14442, "bargaining_fails": 813461,
+              "succeeds_some_lose": 172097}
+    for name, count in counts.items():
+        assert probs[name].probability == count / 1_000_000, name
+
+
 def _exact_failure_probability(d, eps0, honest):
     """P(sum_i gamma_i |D_i| > r eps0) for gamma_i ~ U[0, 1].
 

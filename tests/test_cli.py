@@ -260,6 +260,37 @@ def test_report_bargain_and_region_agree(tmp_path, solver):
     assert region["regions"] == bargain["resilience"]["regions"]
 
 
+# The shipped day's costs, the same from either solver. They are held to
+# a tolerance, not to bytes: another HiGHS build may differ in the last bits.
+SHIPPED_J_SOC = -305.8710642942732
+SHIPPED_D = [-116.57969148004392, 247.90535, -258.12201292596217, -127.37826346238587]
+SHIPPED_IDEAL_J = [-129.5038030865142, 234.98123839352968, -271.0461245324325,
+                   -140.30237506885618]
+
+
+@pytest.mark.parametrize("solver", ["centralized", "distributed"])
+def test_shipped_day_costs_are_pinned(tmp_path, solver):
+    out = tmp_path / "out"
+    assert cli.main(["report", data_path("experiment.yaml"), "--solver", solver,
+                     "--out", str(out)]) == 0
+    rep = _read(out / "report.json")
+    assert rep["schedule"]["j_soc"] == pytest.approx(SHIPPED_J_SOC, rel=1e-9)
+    assert rep["d"] == pytest.approx(SHIPPED_D, rel=1e-9)
+    assert rep["ideal"]["j"] == pytest.approx(SHIPPED_IDEAL_J, rel=1e-9)
+
+
+def test_region_records_the_schedule_timings_of_an_experiment(tmp_path):
+    """region on an experiment times the day it builds, like report and
+    bargain; from --d-vector there is no day to time."""
+    cfg = _experiment(tmp_path, monte_carlo={"samples": 1000, "honest": [1], "seed": 0})
+    assert cli.main(["region", cfg, "--out", str(tmp_path / "exp")]) == 0
+    assert {"schedule_s", "individual_s"} <= set(_read(tmp_path / "exp" / "timings.json"))
+    assert cli.main(["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC,
+                     "--samples", "1000", "--out", str(tmp_path / "flags")]) == 0
+    timings = _read(tmp_path / "flags" / "timings.json")
+    assert not {"schedule_s", "individual_s"} & set(timings)
+
+
 # Runs one command in the interpreter it starts, then prints the exit code
 # and which of scipy's solver modules got imported.
 _IMPORT_PROBE = """
@@ -711,6 +742,26 @@ def test_exit_3_unconverged_distributed_schedule(tmp_path, monkeypatch):
     rep = _read(out / "schedule.json")  # diagnostics still land on disk
     assert rep["converged"] is False
     assert rep["certified_gap"] > 1.0
+
+
+def test_exit_3_unconverged_oracle_says_so_in_schedule_json(tmp_path, monkeypatch):
+    """A distributed oracle short of its certificate fails the command, and
+    schedule.json names it; a centralized oracle has no such fields."""
+    for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20)):
+        monkeypatch.setattr(codes, name, value)
+    cfg = _unconverged_experiment(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["schedule", cfg, "--solver", "centralized", "--verify-oracle",
+                     "--out", str(out)]) == 3
+    rep = _read(out / "schedule.json")
+    assert rep["oracle_solver"] == "distributed"
+    assert rep["oracle_converged"] is False
+    assert rep["oracle_certified_gap"] > 1.0
+    assert cli.main(["schedule", cfg, "--solver", "distributed", "--verify-oracle",
+                     "--out", str(out)]) == 3
+    rep = _read(out / "schedule.json")
+    assert rep["oracle_solver"] == "centralized"
+    assert not {"oracle_converged", "oracle_certified_gap"} & set(rep)
 
 
 @pytest.mark.parametrize("command", ["report", "bargain", "region"])

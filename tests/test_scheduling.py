@@ -26,8 +26,7 @@ from gridbargain import scheduling
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
                                   random_rg_profiles, synthetic_solar_pool)
 from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _dual_value, _forced_exchange,
-                                    _linprog_input, _lp_keywords, _priced_battery, _solve_lp,
-                                    _storage_lp)
+                                    _lp_keywords, _priced_battery, _solve_lp, _storage_lp)
 from _oracles import cumulative_storage_lp, relinearize_every_pass
 
 FLAT3 = PriceProfile(buy=np.full(3, 10.0), sell=np.full(3, 8.0))
@@ -361,7 +360,7 @@ def test_forced_exchange_is_the_passive_lp_optimum(seed):
     sell[tie] = buy[tie]
     prices = PriceProfile(buy=buy, sell=sell)
     x = _solve_lp(np.concatenate([buy, -sell]) * dt,
-                  _linprog_input(_storage_lp([(p_g_max, None)], T, dt)), net, "oracle")
+                  _storage_lp([(p_g_max, None)], T, dt), net, "oracle")
     got_buy, got_sell = _forced_exchange(net, prices, p_g_max, "closed form")
     assert trading_cost(prices, got_buy, got_sell, dt) == pytest.approx(
         trading_cost(prices, x[:T], x[T:], dt), abs=1e-9)
@@ -375,7 +374,7 @@ def test_forced_exchange_is_the_passive_lp_optimum(seed):
 
 def test_forced_exchange_infeasible_like_the_lp():
     net = np.array([1.0, -2.5, 0.0])
-    lp = _linprog_input(_storage_lp([(2.0, None)], 3, 1.0))
+    lp = _storage_lp([(2.0, None)], 3, 1.0)
     with pytest.raises(Infeasible):
         _solve_lp(np.concatenate([FLAT3.buy, -FLAT3.sell]), lp, net, "oracle")
     with pytest.raises(Infeasible):
@@ -685,10 +684,10 @@ def test_state_lp_matches_the_cumulative_layout(program):
                      bounds=lp["bounds"][:n], method="highs")
     if oracle.status == 2:
         with pytest.raises(Infeasible):
-            _solve_lp(c, _linprog_input(lp), bus, "state form")
+            _solve_lp(c, lp, bus, "state form")
         return
     assert oracle.status == 0
-    x = _solve_lp(c, _linprog_input(lp), bus, "state form")
+    x = _solve_lp(c, lp, bus, "state form")
     assert abs(float(c @ x[:n]) - oracle.fun) <= 1e-7 * max(1.0, abs(oracle.fun))
     assert np.all(A_ub @ x[:n] <= b_ub + 1e-7)
 
