@@ -61,23 +61,29 @@ def _parse_floats(text, flag):
     return values
 
 
-def _positions_outside(positions, r, what):
-    """A complaint about the 1-based user positions outside 1..r, or None."""
+def _position_problems(positions, r, what):
+    """Complaints about 1-based user positions outside 1..r or listed twice."""
     outside = sorted({i for i in positions if not 1 <= i <= r})
-    return f"{what}: positions {outside} are outside users 1..{r}" if outside else None
+    repeated = sorted({i for i in positions if positions.count(i) > 1})
+    problems = []
+    if outside:
+        problems.append(f"{what}: positions {outside} are outside users 1..{r}")
+    if repeated:
+        problems.append(f"{what}: positions {repeated} are listed twice")
+    return problems
 
 
 def _parse_honest(text, r):
-    """--honest as 1-based user positions, each within 1..r."""
+    """--honest as 1-based user positions, each within 1..r and listed once."""
     if text.strip() == "":
         return ()
     try:
         idx = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise InvariantViolation([f"--honest: expected comma-separated integers, got {text!r}"])
-    outside = _positions_outside(idx, r, "--honest")
-    if outside:
-        raise InvariantViolation([outside])
+    problems = _position_problems(idx, r, "--honest")
+    if problems:
+        raise InvariantViolation(problems)
     return idx
 
 
@@ -103,11 +109,9 @@ def _check_users(config, model):
     if config.gamma is not None and config.gamma.shape[0] != r:
         problems.append(f"gamma has {config.gamma.shape[0]} entries but the model has "
                         f"{r} users")
-    problems.append(_positions_outside(config.mc_honest, r, "monte_carlo.honest"))
+    problems += _position_problems(config.mc_honest, r, "monte_carlo.honest")
     if config.gamma_sweep is not None:
-        problems.append(_positions_outside(config.gamma_sweep["users"], r,
-                                           "gamma_sweep.users"))
-    problems = [p for p in problems if p]
+        problems += _position_problems(config.gamma_sweep["users"], r, "gamma_sweep.users")
     if problems:
         raise InvariantViolation(problems)
 

@@ -8,18 +8,19 @@ cooperative cost for a favorable and an adverse weather day, used by
 tests and demos as known-good bargaining inputs.
 
 The synthetic pools and the random instance generator exist for tests
-and demos; they are deterministic for a given seed.
+and demos; they are deterministic for a given seed. ``family`` draws the
+tests' shared families: ``criterion_4``, ``held_out``, ``criterion_5``
+and ``soc_dependent`` (every battery on ``SOC_BREAKPOINTS``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import ring_graph
 from .model import (ConstantBdc, DesdParams, GridLimits, Horizon, MicrogridModel,
-                    PriceProfile, Pv, UserSpec, Wt, validate_model)
+                    PiecewiseSocBdc, PriceProfile, Pv, UserSpec, Wt, validate_model)
 from .rg_forecast import WeatherForecast
 
 __all__ = [
@@ -36,6 +37,10 @@ __all__ = [
     "random_connected_graph",
     "random_model",
     "random_rg_profiles",
+    "SOC_BREAKPOINTS",
+    "soc_dependent",
+    "quarter_hourly",
+    "family",
 ]
 
 def tou_prices(T=24, dt=1.0):
@@ -147,15 +152,15 @@ def synthetic_wind_pool(size_kw, n_days=365, T=24, seed=0):
     return np.clip(size_kw * (level[:, None] + wander), 0.0, size_kw)
 
 
-def random_connected_graph(rng, n, extra_edge_prob=0.3):
-    """Random spanning tree plus a few extra edges."""
+def random_connected_graph(rng, n):
+    """Random spanning tree plus extra edges, each with probability 0.3/n."""
     edges = set()
     for i in range(1, n):
         j = int(rng.integers(0, i))
         edges.add((j, i))
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < extra_edge_prob / n:
+            if (i, j) not in edges and rng.random() < 0.3 / n:
                 edges.add((i, j))
     return tuple(sorted(edges))
 
@@ -185,7 +190,7 @@ def random_rg_profiles(model, rng):
     return out
 
 
-def random_model(rng, r_max=6, T=24, with_rg=True, random_graph=False):
+def random_model(rng, r_max=6, T=24, with_rg=True):
     """A random feasible instance for property tests.
 
     Always has at least one active user; the grid rating is left at its
@@ -222,8 +227,57 @@ def random_model(rng, r_max=6, T=24, with_rg=True, random_graph=False):
            + rng.uniform(6.0, 14.0) * np.exp(-0.5 * ((t - rng.uniform(17, 20)) / 2.2) ** 2)
            + rng.uniform(0.0, 1.5, size=T))
     prices = PriceProfile(buy=buy, sell=0.8 * buy)
-    graph = random_connected_graph(rng, r + 1) if random_graph else None
     return validate_model(MicrogridModel(
         horizon=Horizon(steps=T, dt=1.0), users=tuple(users), demands=demands,
-        prices=prices, grid=None, graph=graph,
+        prices=prices, grid=None,
     ))
+
+
+SOC_BREAKPOINTS = ((0.0, 2.0), (0.2, 0.8), (0.8, 1.6))  # (SOC fraction, c/kWh)
+
+
+def soc_dependent(model):
+    """``model`` with every battery on ``PiecewiseSocBdc(SOC_BREAKPOINTS)``."""
+    bdc = PiecewiseSocBdc(SOC_BREAKPOINTS)
+    users = tuple(replace(u, desd=replace(u.desd, bdc=bdc)) if u.is_active else u
+                  for u in model.users)
+    return validate_model(replace(model, users=users, _validated=False))
+
+
+def quarter_hourly(model, rg):
+    """``model`` and its {user id: generation profile} ``rg`` at 4x the
+    resolution: every series repeated 4 times, at a quarter of the step."""
+    prices = PriceProfile(buy=np.repeat(model.prices.buy, 4),
+                          sell=np.repeat(model.prices.sell, 4))
+    fine = replace(model, horizon=Horizon(steps=4 * model.horizon.steps,
+                                          dt=model.horizon.dt / 4),
+                   demands=np.repeat(model.demands, 4, axis=1), prices=prices,
+                   _validated=False)
+    return validate_model(fine), {uid: np.repeat(prof, 4) for uid, prof in rg.items()}
+
+
+# (seed, r_max, T) of each shared draw family
+_FAMILIES = {
+    "criterion_4": (2026, 6, 24),
+    "held_out": (99, 6, 24),
+    "criterion_5": (501, 6, 24),
+    "soc_dependent": (7, 5, 24),
+}
+
+
+def family(name, count):
+    """The first ``count`` (model, generation profiles) draws of a named family.
+
+    Each draw is ``random_model`` then ``random_rg_profiles`` on one
+    generator seeded from the family's table row; ``soc_dependent``
+    converts every battery before its profiles are drawn.
+    """
+    seed, r_max, T = _FAMILIES[name]
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        model = random_model(rng, r_max=r_max, T=T)
+        if name == "soc_dependent":
+            model = soc_dependent(model)
+        draws.append((model, random_rg_profiles(model, rng)))
+    return draws

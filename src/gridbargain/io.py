@@ -399,8 +399,6 @@ def load_experiment(path):
         sweep = {"users": _integers(sweep["users"], "gamma_sweep.users"),
                  "num": _number(int, sweep["num"], "gamma_sweep.num"),
                  "max": _number(float, sweep.get("max", 1.0), "gamma_sweep.max")}
-        if len(set(sweep["users"])) < len(sweep["users"]):
-            problems.append(f"gamma_sweep.users lists a position twice: {list(sweep['users'])}")
         if sweep["num"] < 1:
             problems.append(f"gamma_sweep.num must be >= 1, got {sweep['num']}")
         if not 0.0 <= sweep["max"] < np.inf:

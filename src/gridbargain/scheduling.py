@@ -218,8 +218,13 @@ def _rg_profiles(rg, users, T):
     """Every user's generation profile as a (T,) array, zeros where ``rg`` has none.
 
     ``rg`` is an RgForecastResult, a plain {user id: profile} dict or None.
+    Every profile must belong to a user of ``users`` and be finite and
+    >= 0; a user without a generator may only have zeros.
     """
     given = rg.profiles if isinstance(rg, RgForecastResult) else (rg or {})
+    unknown = sorted(set(given) - {u.id for u in users})
+    if unknown:
+        raise InvariantViolation(f"rg profiles of {unknown}: the model has no such user")
     out = {}
     for u in users:
         prof = given.get(u.id)
@@ -229,6 +234,10 @@ def _rg_profiles(rg, users, T):
                 f"rg profile of user {u.id}: shape {prof.shape}, expected ({T},)")
         if not np.all(np.isfinite(prof)):
             raise InvariantViolation(f"rg profile of user {u.id}: values must be finite")
+        if np.any(prof < 0.0):
+            raise InvariantViolation(f"rg profile of user {u.id}: values must be >= 0")
+        if u.rg is None and np.any(prof != 0.0):
+            raise InvariantViolation(f"rg profile of user {u.id}: the user has no generator")
         out[u.id] = prof
     return out
 

@@ -1,12 +1,10 @@
 """Shared fixtures: the reference microgrid, classified scenario pools,
 and the acceptance-criteria summary hook."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from gridbargain import PiecewiseSocBdc, classify_scenarios, forecast_all, validate_model
+from gridbargain import classify_scenarios, forecast_all
 from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model,
                                   synthetic_solar_pool, synthetic_wind_pool)
 
@@ -44,15 +42,3 @@ def favorable_rg(reference_pools):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)
-
-
-@pytest.fixture(scope="session")
-def soc_dependent():
-    """Puts every battery of a model on one piecewise SOC-dependent cost."""
-    bdc = PiecewiseSocBdc(((0.0, 2.0), (0.2, 0.8), (0.8, 1.6)))
-
-    def convert(model):
-        users = tuple(replace(u, desd=replace(u.desd, bdc=bdc)) if u.is_active else u
-                      for u in model.users)
-        return validate_model(replace(model, users=users, _validated=False))
-    return convert

@@ -20,7 +20,7 @@ from gridbargain import (allocate, allocate_from_consensus, gamma_solo_bound,
                          solve_social)
 from gridbargain.bargaining import region_probabilities
 from gridbargain.codes import dump_message_log
-from gridbargain.fixtures import (REFERENCE_ADVERSE, REFERENCE_FAVORABLE,
+from gridbargain.fixtures import (REFERENCE_ADVERSE, REFERENCE_FAVORABLE, family,
                                   random_connected_graph, random_model,
                                   random_rg_profiles)
 from gridbargain.graphs import ring_graph
@@ -108,11 +108,7 @@ def test_criterion_3_region_probabilities():
 # 4 ------------------------------------------------------------------------
 
 def test_criterion_4_distributed_matches_oracle(reference_model, favorable_rg):
-    rng = np.random.default_rng(2026)
-    cases = [(reference_model, favorable_rg)]
-    for _ in range(20):
-        m = random_model(rng, r_max=6, T=24)
-        cases.append((m, random_rg_profiles(m, rng)))
+    cases = [(reference_model, favorable_rg)] + family("criterion_4", 20)
     worst_gap, worst_time, fails = 0.0, 0.0, 0
     rounds = []
     for m, rg in cases:
@@ -136,11 +132,8 @@ def test_criterion_4_distributed_matches_oracle(reference_model, favorable_rg):
 # 5 ------------------------------------------------------------------------
 
 def test_criterion_5_cooperation_always_pays():
-    rng = np.random.default_rng(501)
     worst_slack, worst_eps, fails = np.inf, np.inf, 0
-    for _ in range(50):
-        m = random_model(rng, r_max=6, T=24)
-        rg = random_rg_profiles(m, rng)
+    for m, rg in family("criterion_5", 50):
         j_soc = solve_social(m, rg).social_cost
         d = np.array([individual_costs(m, rg)[u.id].cost for u in m.users])
         res = allocate(d, j_soc)

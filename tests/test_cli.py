@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gridbargain import allocate, cli, codes, data_path, selfish_cost
 from gridbargain.bargaining import PREDICATES
-from gridbargain.fixtures import random_model, random_rg_profiles
+from gridbargain.fixtures import family
 
 FAV_D = "-61.33,481.18,101.48,-23.34"
 FAV_JSOC = "438.68"
@@ -365,6 +365,7 @@ def test_exit_2_bad_flag_values(tmp_path):
     ["region", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
     ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "10"],
     ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "9", "--samples", "0"],
+    ["bargain", f"--d-vector={FAV_D}", "--jsoc", FAV_JSOC, "--honest", "2,2"],
 ])
 def test_exit_2_bad_monte_carlo_flags(tmp_path, argv):
     out = tmp_path / "out"
@@ -375,7 +376,8 @@ def test_exit_2_bad_monte_carlo_flags(tmp_path, argv):
 @pytest.mark.parametrize("command", ["report", "bargain", "region"])
 @pytest.mark.parametrize("monte_carlo", [{"samples": -10, "honest": [1]},
                                          {"samples": 100, "honest": [9]},
-                                         {"samples": 0, "honest": [9]}])
+                                         {"samples": 0, "honest": [9]},
+                                         {"samples": 100, "honest": [1, 1]}])
 def test_exit_2_bad_monte_carlo_config(tmp_path, command, monte_carlo):
     cfg = _experiment(tmp_path, monte_carlo=monte_carlo)
     out = tmp_path / "out"
@@ -707,10 +709,7 @@ def test_exit_2_nan_in_scenario_pool(tmp_path):
 def _unconverged_experiment(tmp_path):
     """Held-out draw 14 of seed 99 (see test_codes) without its generators,
     as model, CSV and experiment files: 60 rounds leave a 4.17 c gap."""
-    rng = np.random.default_rng(99)
-    for _ in range(15):
-        m = random_model(rng, r_max=6, T=24)
-        random_rg_profiles(m, rng)
+    m, _ = family("held_out", 15)[14]
 
     def write_csv(name, header, columns):
         rows = [",".join(header)] + [",".join(repr(float(v)) for v in row)

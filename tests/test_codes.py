@@ -14,7 +14,8 @@ from gridbargain import (ConstantBdc, DesdParams, InvariantViolation, LengthMism
                          PriceProfile, SolverStall, build_pools, convergence_trace, data_path,
                          dump_message_log, forecast_all, load_experiment, load_model, run_codes,
                          solve_individual, solve_social, validate_model)
-from gridbargain.fixtures import four_user_model, random_model, random_rg_profiles
+from gridbargain.fixtures import (family, four_user_model, quarter_hourly, random_model,
+                                  random_rg_profiles, soc_dependent)
 from gridbargain.model import soc_trajectory
 from gridbargain.scheduling import _battery_and_grid, _priced_battery
 from _oracles import cleanup_lp, cumulative_storage_lp, two_segment_storage_dp
@@ -53,10 +54,7 @@ def test_rebalance_starts_from_the_candidate():
     """Criterion-4 draw #6 closes at round 100 when every open check
     rebalances its own candidate; starting from the best schedule so
     far instead would take 625 rounds."""
-    rng = np.random.default_rng(2026)
-    for _ in range(6):
-        m = random_model(rng, r_max=6, T=24)
-        rg = random_rg_profiles(m, rng)
+    m, rg = family("criterion_4", 6)[5]
     run = run_codes(m, rg)
     assert run.converged and run.iterations <= 100
 
@@ -139,21 +137,11 @@ def test_trace_shape_and_convergence(reference_run):
     assert run.iterations < 10_000  # empirical bring-up bound
 
 
-def held_out_draws(count):
-    """The first ``count`` draws of the held-out seed 99, with generation."""
-    rng = np.random.default_rng(99)
-    draws = []
-    for _ in range(count):
-        m = random_model(rng, r_max=6, T=24)
-        draws.append((m, random_rg_profiles(m, rng)))
-    return draws
-
-
 def test_soft_nonconvergence_returns_best_iterate(monkeypatch):
     """Held-out draw 14 does not certify even in MAX_ROUNDS; a 60-round
     budget stops it with its certified gap at 4.29 c. The run must stop
     without raising, flag itself, and still hand back its best iterate."""
-    model, rg = held_out_draws(15)[14]
+    model, rg = family("held_out", 15)[14]
     oracle = solve_social(model, rg)
     for name, value in (("MAX_ROUNDS", 60), ("CHECK_EVERY", 20)):
         monkeypatch.setattr(codes, name, value)
@@ -199,14 +187,11 @@ def test_privacy_of_message_payloads(reference_model, favorable_rg, tmp_path):
             assert not any(k in forbidden for k in record)
 
 
-def test_relinearization_is_deterministic_and_feasible(soc_dependent, monkeypatch):
+def test_relinearization_is_deterministic_and_feasible(monkeypatch):
     """SOC-dependent unit costs are re-looked-up every 100 rounds; the
     fifth draw closes at round 150, past the re-lookup at round 100.
     Its message log, like the rest of the run, is the same bit for bit."""
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        model = soc_dependent(random_model(rng, r_max=5, T=24))
-        rg = random_rg_profiles(model, rng)
+    model, rg = family("soc_dependent", 5)[4]
     monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
     a = run_codes(model, rg, record_messages=True)
     b = run_codes(model, rg, record_messages=True)
@@ -228,15 +213,6 @@ def test_relinearization_is_deterministic_and_feasible(soc_dependent, monkeypatc
         a.outcome.trading_cost + sum(a.outcome.bdc_costs.values()), abs=1e-6)
 
 
-def _criterion_4_family(reference_model, favorable_rg):
-    rng = np.random.default_rng(2026)
-    cases = [(reference_model, favorable_rg)]
-    for _ in range(20):
-        m = random_model(rng, r_max=6, T=24)
-        cases.append((m, random_rg_profiles(m, rng)))
-    return cases
-
-
 def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
     """Over the criterion-4 family and held-out draws 0-13, every run
     probes, no dual value the certificate takes exceeds J_soc, and no
@@ -250,7 +226,8 @@ def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
         return out
 
     monkeypatch.setattr(codes, "_dual_value", record)
-    for m, rg in _criterion_4_family(reference_model, favorable_rg) + held_out_draws(14):
+    cases = [(reference_model, favorable_rg)] + family("criterion_4", 20) + family("held_out", 14)
+    for m, rg in cases:
         values.clear()
         run = run_codes(m, rg)
         j_soc = solve_social(m, rg).social_cost
@@ -263,10 +240,7 @@ def test_probe_bounds_are_valid(monkeypatch, reference_model, favorable_rg):
 
 def test_probed_run_is_deterministic_bit_for_bit():
     """Criterion-4 draw #3 probes at every check of its 200 rounds."""
-    rng = np.random.default_rng(2026)
-    for _ in range(3):
-        m = random_model(rng, r_max=6, T=24)
-        rg = random_rg_profiles(m, rng)
+    m, rg = family("criterion_4", 3)[2]
     a = run_codes(m, rg, record_messages=True)
     b = run_codes(m, rg, record_messages=True)
     assert a.converged and a.probe_steps > 100 and len(a.trace) > 5
@@ -283,14 +257,12 @@ def test_probed_run_is_deterministic_bit_for_bit():
         np.testing.assert_array_equal(ma.mismatch, mb.mismatch)
 
 
-def test_soc_dependent_run_follows_the_one_check_schedule(soc_dependent, monkeypatch):
+def test_soc_dependent_run_follows_the_one_check_schedule(monkeypatch):
     """A SOC-dependent run checks as every run does: first at round
     FIRST_CHECK, and an open check probes the price."""
-    rng = np.random.default_rng(2026)
-    model = soc_dependent(random_model(rng, r_max=6, T=24))
-    rg = random_rg_profiles(model, rng)
+    model, rg = family("criterion_4", 1)[0]
     monkeypatch.setattr(codes, "MAX_ROUNDS", 300)
-    run = run_codes(model, rg)
+    run = run_codes(soc_dependent(model), rg)
     assert convergence_trace(run)["round"][0] == codes.FIRST_CHECK
     assert run.probe_steps > 0
 
@@ -306,6 +278,18 @@ def test_random_instances_match_oracle():
         assert run.converged
         assert abs(run.outcome.social_cost - oracle.social_cost) <= _tol(
             oracle.social_cost)
+
+
+def test_quarter_hourly_runs_match_oracle(reference_model, favorable_rg):
+    """The reference and criterion-4 draws 1-3 at T=96, dt=0.25 close
+    within the criterion-4 tolerance (150, 75, 150 and 300 rounds)."""
+    cases = [(reference_model, dict(favorable_rg.profiles))] + family("criterion_4", 3)
+    for m, rg in cases:
+        m, rg = quarter_hourly(m, rg)
+        run = run_codes(m, rg)
+        oracle = solve_social(m, rg)
+        assert run.converged
+        assert abs(run.outcome.social_cost - oracle.social_cost) <= _tol(oracle.social_cost)
 
 
 # ------------------------------------------------- exact local storage step
@@ -422,10 +406,13 @@ def test_rebalance_step_beyond_the_ratings_has_no_schedule():
     assert _battery_and_grid(desd, unit, *tariff, np.array([4.5, 0.0]), 3.0, 1.0) is None
 
 
-def test_non_finite_rg_profile_rejected(reference_model):
-    rg = {"u1": np.full(24, np.nan)}
-    with pytest.raises(InvariantViolation, match="finite"):
-        run_codes(reference_model, rg)
+def test_invalid_rg_profile_rejected(reference_model):
+    for rg, match in (({"u1": np.full(24, np.nan)}, "finite"),
+                      ({"u1": np.full(24, -1.0)}, ">= 0"),
+                      ({"U1": np.ones(24)}, "no such user"),
+                      ({"u2": np.full(24, 3.0)}, "no generator")):
+        with pytest.raises(InvariantViolation, match=match):
+            run_codes(reference_model, rg)
 
 
 def test_wrong_shape_rg_profile_rejected(reference_model):

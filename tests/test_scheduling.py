@@ -23,8 +23,9 @@ from gridbargain import (ConstantBdc, DesdParams, GridLimits, Horizon, Infeasibl
                          soc_trajectory, solve_individual, solve_social,
                          trading_cost, validate_model)
 from gridbargain import scheduling
-from gridbargain.fixtures import (FAVORABLE_FORECAST, four_user_model, random_model,
-                                  random_rg_profiles, synthetic_solar_pool)
+from gridbargain.fixtures import (FAVORABLE_FORECAST, family, four_user_model, quarter_hourly,
+                                  random_model, random_rg_profiles, soc_dependent,
+                                  synthetic_solar_pool)
 from gridbargain.scheduling import (FEAS_TOL, _battery_and_grid, _dual_value, _forced_exchange,
                                     _lp_keywords, _priced_battery, _solve_lp, _storage_lp)
 from _oracles import cumulative_storage_lp, relinearize_every_pass
@@ -155,14 +156,22 @@ def test_social_cost_identity(reference_model, favorable_rg):
         out.trading_cost + sum(out.bdc_costs.values()), abs=1e-9)
 
 
-def test_non_finite_rg_profile_rejected(reference_model, favorable_rg):
-    rg = dict(favorable_rg.profiles)
-    rg["u3"] = rg["u3"].copy()
-    rg["u3"][5] = np.nan
-    with pytest.raises(InvariantViolation, match="u3"):
-        solve_social(reference_model, rg)
-    with pytest.raises(InvariantViolation, match="u3"):
-        individual_costs(reference_model, rg)
+def test_invalid_rg_profile_rejected(reference_model, favorable_rg):
+    """A profile that is not finite or is negative, one of no user of the
+    model and output of a user without a generator are refused; an
+    all-zero profile for that user is taken as no generation."""
+    nan = favorable_rg.profiles["u3"].copy()
+    nan[5] = np.nan
+    for bad, match in (({"u3": nan}, "u3.*finite"), ({"u3": np.full(24, -0.5)}, "u3.*>= 0"),
+                       ({"U1": np.ones(24)}, "U1.*no such user"),
+                       ({"u2": np.full(24, 3.0)}, "u2.*no generator")):
+        rg = dict(favorable_rg.profiles, **bad)
+        with pytest.raises(InvariantViolation, match=match):
+            solve_social(reference_model, rg)
+        with pytest.raises(InvariantViolation, match=match):
+            individual_costs(reference_model, rg)
+    assert solve_social(reference_model, dict(favorable_rg.profiles, u2=np.zeros(24))) \
+        .social_cost == solve_social(reference_model, favorable_rg).social_cost
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (23,), (25,), (24, 1), (1, 24)])
@@ -191,25 +200,22 @@ def test_forecast_from_narrow_pool_rejected(reference_model):
 
 def test_solo_is_pooled_problem_of_one_user():
     rng = np.random.default_rng(31)
-    bdc = PiecewiseSocBdc(((0.0, 2.0), (0.2, 0.8), (0.8, 1.6)))  # relinearizes
     for _ in range(3):
-        m = random_model(rng, r_max=4, T=24)
+        m = soc_dependent(random_model(rng, r_max=4, T=24))  # relinearizes
         rg = random_rg_profiles(m, rng)
         for k, u in enumerate(m.users):
-            if u.is_active:
-                u = replace(u, desd=replace(u.desd, bdc=bdc))
             alone = validate_model(MicrogridModel(
                 horizon=m.horizon, users=(u,), demands=m.demands[k:k + 1],
                 prices=m.prices, grid=m.grid))
             solo = solve_individual(u, m.demands[k], m.prices, m.grid, m.horizon,
                                     rg_profile=rg.get(u.id))
-            pooled = solve_social(alone, rg)
+            pooled = solve_social(alone, {u.id: rg.get(u.id)})
             assert solo.cost == pooled.social_cost
             assert solo.bdc_cost == pooled.bdc_costs.get(u.id, 0.0)
             np.testing.assert_array_equal(solo.decision.grid_buy, pooled.decision.grid_buy)
 
 
-def test_outer_iterations_count_the_passes(monkeypatch, soc_dependent, reference_model):
+def test_outer_iterations_count_the_passes(monkeypatch, reference_model):
     """outer_iterations is the number of linearizations solved, not the
     index of the best one. A SOC-dependent cost is re-solved until its
     true cost settles or its re-looked-up costs repeat a profile already
@@ -225,28 +231,19 @@ def test_outer_iterations_count_the_passes(monkeypatch, soc_dependent, reference
     assert solve_social(reference_model).outer_iterations == len(calls) == 1
     calls.clear()
     assert solve_social(soc_dependent(reference_model)).outer_iterations == len(calls) == 3
-    rng = np.random.default_rng(7)
     batteries = set()
-    for _ in range(3):
-        m = soc_dependent(random_model(rng, r_max=5, T=24))
-        rg = random_rg_profiles(m, rng)
+    for m, rg in family("soc_dependent", 3):
         calls.clear()
         assert solve_social(m, rg).outer_iterations == len(calls) >= 2
         batteries.add(sum(u.is_active for u in m.users) == 1)
     assert batteries == {True, False}  # both solvers were counted
 
 
-def _soc_dependent_draws(soc_dependent):
+def _soc_dependent_draws():
     """SOC-dependent random grids with their generation: T=24 draws with
-    one battery and with several, and one at T=96, dt=0.25."""
-    rng = np.random.default_rng(7)
-    draws = []
-    for _ in range(8):
-        m = soc_dependent(random_model(rng, r_max=5, T=24))
-        draws.append((m, random_rg_profiles(m, rng)))
-    m = random_model(rng, r_max=4, T=96)
-    m = soc_dependent(replace(m, horizon=Horizon(steps=96, dt=0.25), _validated=False))
-    draws.append((m, random_rg_profiles(m, rng)))
+    one battery and with several, and the ninth at T=96, dt=0.25."""
+    draws = family("soc_dependent", 9)
+    draws[8] = quarter_hourly(*draws[8])
     n_batteries = {min(sum(u.is_active for u in m.users), 2) for m, _ in draws}
     assert n_batteries == {1, 2}  # both the DP and HiGHS are covered
     return draws
@@ -267,12 +264,12 @@ def _assert_same_schedule(a, b, costs):
         assert _bits(getattr(a, field)) == _bits(getattr(b, field))
 
 
-def test_linearization_stopping_at_a_repeat_is_exact(monkeypatch, soc_dependent):
+def test_linearization_stopping_at_a_repeat_is_exact(monkeypatch):
     """Stopping at the first repeated cost profile returns the schedule,
     SOC paths and costs of re-solving until MAX_OUTER, bit for bit, in
     fewer passes: a repeat only replays iterates already costed."""
     fewer = 0
-    for m, rg in _soc_dependent_draws(soc_dependent):
+    for m, rg in _soc_dependent_draws():
         social, solo = solve_social(m, rg), individual_costs(m, rg)
         with monkeypatch.context() as patch:
             patch.setattr(scheduling, "_pooled", relinearize_every_pass)
@@ -286,7 +283,7 @@ def test_linearization_stopping_at_a_repeat_is_exact(monkeypatch, soc_dependent)
     assert fewer > 0  # the draws do cycle
 
 
-def test_no_cost_profile_is_solved_twice(monkeypatch, soc_dependent):
+def test_no_cost_profile_is_solved_twice(monkeypatch):
     """Every LP and DP a linearization hands out has inputs not solved
     before in the same schedule: a repeated unit-cost profile ends it."""
     seen = []
@@ -300,7 +297,7 @@ def test_no_cost_profile_is_solved_twice(monkeypatch, soc_dependent):
     recording("_solve_lp", lambda c, lp, bus, what: (c.tobytes(), bus.tobytes(), what))
     recording("_battery_and_grid", lambda desd, unit, buy, sell, net, *rest: (
         id(desd), np.asarray(unit).tobytes(), net.tobytes(), rest))
-    for m, rg in _soc_dependent_draws(soc_dependent):
+    for m, rg in _soc_dependent_draws():
         seen.clear()
         solve_social(m, rg)
         assert len(seen) == len(set(seen)) >= 1
@@ -845,11 +842,8 @@ def test_dual_value_is_a_lower_bound_at_any_price():
     prices in [p_s, p_b]: below p_s, above p_b and negative too. Its
     injection is the users' priced schedules, summed. Criterion 5's
     draws, constant unit costs."""
-    rng = np.random.default_rng(501)
     lam_rng = np.random.default_rng(5)
-    for _ in range(50):
-        m = random_model(rng, r_max=6, T=24)
-        rg = random_rg_profiles(m, rng)
+    for m, rg in family("criterion_5", 50):
         j_soc = solve_social(m, rg).social_cost
         T, dt = int(m.horizon.steps), float(m.horizon.dt)
         net = m.demands.sum(axis=0) - sum(rg.values(), np.zeros(T))
